@@ -57,10 +57,6 @@ class GaConfig:
             raise ValueError(f"unknown scorer {self.scorer!r}")
 
 
-def _random_subset(n_cells: int, beams: int, rng) -> tuple:
-    return tuple(sorted(int(c) for c in rng.choice(n_cells, size=beams, replace=False)))
-
-
 def _tournament(population, fitness, rng) -> tuple:
     i, j = rng.integers(0, len(population), size=2)
     return population[i] if fitness[i] >= fitness[j] else population[j]
@@ -100,7 +96,7 @@ def pattern_ga(ctx: ScoreContext, queue_totals, beams: int, cfg: GaConfig) -> tu
     score = score_bruteforce if cfg.scorer == "bruteforce" else score_sliding_window
     rng = np.random.default_rng(cfg.rng_seed)
 
-    population = [_random_subset(n_cells, beams, rng) for _ in range(cfg.population_size)]
+    population = [pattern_random(n_cells, beams, rng) for _ in range(cfg.population_size)]
     fitness = [score(ind, ctx, beams) for ind in population]
     best_idx = int(np.argmax(fitness))
     best_fit, best_ind = fitness[best_idx], population[best_idx]

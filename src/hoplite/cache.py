@@ -1,11 +1,12 @@
 """Plan cache keyed by discretized demand vectors.
 
-Demand vectors are snapped onto an evenly spaced grid (resolution C_max/beta
-per component), hashed, and the transmission plan for that demand class is
-stored under the first bytes of the digest. Truncated keys can collide, so
-every hit re-checks the stored vector before returning a plan; a mismatch
-counts as a miss. Eviction is least-recently-used. Entries can be saved to
-and reloaded from a compact binary snapshot.
+Demand vectors are snapped to the nearest point of an evenly spaced grid
+(resolution C_max/beta per component), hashed, and the transmission plan
+for that demand class is stored under the first bytes of the digest.
+Truncated keys can collide, so every hit re-checks the stored vector before
+returning a plan; a mismatch counts as a miss. Eviction is
+least-recently-used. Entries can be saved to and reloaded from a compact
+binary snapshot.
 """
 
 from __future__ import annotations
@@ -18,27 +19,20 @@ from collections import OrderedDict
 import numpy as np
 
 MAGIC = b"BHC1"
-DISCRETIZE_MODES = ("nearest", "floor")
 
 
-def discretize(vector, c_max: float, beta: int, mode: str = "nearest") -> np.ndarray:
-    """Snap each component to the grid {k * c_max/beta : k = 0..beta}.
+def discretize(vector, c_max: float, beta: int) -> np.ndarray:
+    """Snap each component to the nearest point of {k * c_max/beta : k = 0..beta}.
 
-    Values are clamped to [0, c_max] first. "nearest" rounds to the closest
-    grid point with ties upward; "floor" takes the grid point at or below.
+    Values are clamped to [0, c_max] first; ties round upward.
     """
     if int(beta) != beta or beta < 1:
         raise ValueError("beta must be a positive integer")
     if c_max <= 0:
         raise ValueError("c_max must be positive")
-    if mode not in DISCRETIZE_MODES:
-        raise ValueError(f"unknown discretization mode {mode!r}")
     step = c_max / beta
     v = np.clip(np.asarray(vector, dtype=float), 0.0, c_max)
-    if mode == "nearest":
-        k = np.floor(v / step + 0.5)
-    else:
-        k = np.floor(v / step)
+    k = np.floor(v / step + 0.5)
     return np.minimum(k, beta) * step
 
 
@@ -90,7 +84,6 @@ class BhtpCache:
         beta: int,
         max_entries: int = 200_000,
         key_bytes: int = 4,
-        mode: str = "nearest",
     ):
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
@@ -98,8 +91,7 @@ class BhtpCache:
         self.beta = int(beta)
         self.max_entries = int(max_entries)
         self.key_bytes = int(key_bytes)
-        self.mode = mode
-        discretize(np.zeros(1), self.c_max, self.beta, mode)  # validate args
+        discretize(np.zeros(1), self.c_max, self.beta)  # validate args
         self._entries: OrderedDict[bytes, _Entry] = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
@@ -111,7 +103,7 @@ class BhtpCache:
         return len(self._entries)
 
     def discretize(self, vector) -> np.ndarray:
-        return discretize(vector, self.c_max, self.beta, self.mode)
+        return discretize(vector, self.c_max, self.beta)
 
     def key_for(self, vector) -> bytes:
         return demand_key(self.discretize(vector), self.key_bytes)

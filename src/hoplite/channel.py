@@ -141,13 +141,6 @@ def channel_gain2_at_offset(offset_km, params: LinkParams):
     return gain2
 
 
-def channel_coefficient2(
-    beam_cell: int, user_cell: int, grid: CellGrid, params: LinkParams
-) -> float:
-    """Linear |h|^2 between a beam boresighted on one cell and a user in another."""
-    return float(channel_gain2_at_offset(grid.distance(beam_cell, user_cell), params))
-
-
 def build_link_budget(grid: CellGrid, params: LinkParams) -> LinkBudget:
     """Precompute the full N x N |h|^2 matrix and the receiver noise power."""
     gain2 = channel_gain2_at_offset(grid.distance_matrix(), params)

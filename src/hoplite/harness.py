@@ -55,9 +55,6 @@ from .traffic import (
     make_queue_state,
 )
 
-ALGORITHMS = ("periodic", "random", "greedy", "mcts", "ga")
-SWEEPS = ("throughput", "timing", "convergence", "scoring", "beta", "ds")
-
 # Columns whose values are wall-clock measurements; excluded from
 # reproducibility comparisons.
 TIMING_COLUMNS = ("mean_pattern_time_s",)
@@ -154,6 +151,42 @@ def _entropy(*parts) -> tuple:
     return tuple(int(p) for p in parts)
 
 
+def _score_context(cfg: ExperimentConfig, grid, params, budget, totals, ds_diameters: float):
+    beams = cfg.beams_for(grid.n_cells)
+    return make_score_context(
+        grid,
+        budget,
+        params,
+        totals,
+        slot_s=cfg.slot_s,
+        packet_bits=cfg.packet_bits,
+        ds_km=ds_diameters * grid.cell_diameter,
+        omega_max=omega_max_for(budget, params, beams, cfg.slot_s),
+        backend=cfg.backend,
+    )
+
+
+def _mcts_config(cfg: ExperimentConfig) -> MctsConfig:
+    return MctsConfig(
+        max_iterations=cfg.mcts_iterations,
+        exploration_constant=cfg.mcts_exploration,
+        pruning_enabled=cfg.mcts_pruning,
+        prune_width=cfg.prune_width,
+    )
+
+
+def _planner_settings(cfg: ExperimentConfig, grid, ds_diameters: float) -> PlannerSettings:
+    return PlannerSettings(
+        beams=cfg.beams_for(grid.n_cells),
+        horizon_slots=cfg.horizon_slots,
+        slot_s=cfg.slot_s,
+        packet_bits=cfg.packet_bits,
+        ttl_slots=cfg.ttl_slots,
+        ds_km=ds_diameters * grid.cell_diameter,
+        backend=cfg.backend,
+    )
+
+
 def _pattern_fn(alg: str, n: int, beams: int, seed: int, level_key: int, ctx, cfg: ExperimentConfig):
     if alg == "periodic":
         return lambda totals, slot: pattern_periodic(n, beams, slot)
@@ -163,12 +196,7 @@ def _pattern_fn(alg: str, n: int, beams: int, seed: int, level_key: int, ctx, cf
     if alg == "greedy":
         return lambda totals, slot: pattern_greedy(totals, beams)
     if alg == "mcts":
-        base = MctsConfig(
-            max_iterations=cfg.mcts_iterations,
-            exploration_constant=cfg.mcts_exploration,
-            pruning_enabled=cfg.mcts_pruning,
-            prune_width=cfg.prune_width,
-        )
+        base = _mcts_config(cfg)
         return lambda totals, slot: compute_pattern_mcts(
             ctx, totals, beams, replace(base, rng_seed=_entropy(seed, level_key, slot))
         )
@@ -187,17 +215,7 @@ def _simulate_run(alg, rates, grid, budget, params, cfg: ExperimentConfig, seed,
     beams = cfg.beams_for(n)
     level_key = round(level * 1000)
     state = make_queue_state(n, rates, ttl=cfg.ttl_slots, packet_bits=cfg.packet_bits)
-    ctx = make_score_context(
-        grid,
-        budget,
-        params,
-        state.totals(),
-        slot_s=cfg.slot_s,
-        packet_bits=cfg.packet_bits,
-        ds_km=cfg.ds_diameters * grid.cell_diameter,
-        omega_max=omega_max_for(budget, params, beams, cfg.slot_s),
-        backend=cfg.backend,
-    )
+    ctx = _score_context(cfg, grid, params, budget, state.totals(), cfg.ds_diameters)
     next_pattern = _pattern_fn(alg, n, beams, seed, level_key, ctx, cfg)
     arrivals_rng = np.random.default_rng(_entropy(seed, level_key, 1))
     served_bits = 0.0
@@ -235,14 +253,7 @@ def _simulate_run(alg, rates, grid, budget, params, cfg: ExperimentConfig, seed,
 def run_throughput_sweep(cfg: ExperimentConfig) -> list[MetricsRecord]:
     grid, params, budget = make_system(cfg.rings, cfg.cell_diameter_km)
     beams = cfg.beams_for(grid.n_cells)
-    settings = PlannerSettings(
-        beams=beams,
-        horizon_slots=cfg.horizon_slots,
-        slot_s=cfg.slot_s,
-        packet_bits=cfg.packet_bits,
-        ttl_slots=cfg.ttl_slots,
-    )
-    c0 = default_c_max(budget, params, settings)
+    c0 = default_c_max(budget, params, _planner_settings(cfg, grid, cfg.ds_diameters))
     records = []
     for level in cfg.demand_levels:
         for seed in cfg.seeds:
@@ -261,21 +272,10 @@ def run_timing_table(cfg: ExperimentConfig, repeats: int = 10) -> list[dict]:
         grid, params, budget = make_system(rings, cfg.cell_diameter_km)
         n = grid.n_cells
         beams = cfg.beams_for(n)
-        settings = PlannerSettings(beams=beams, horizon_slots=cfg.horizon_slots)
-        c0 = default_c_max(budget, params, settings)
+        c0 = default_c_max(budget, params, _planner_settings(cfg, grid, cfg.ds_diameters))
         rates = scaled_demand(grid, 1.0, beams, c0, cfg, cfg.seeds[0])
         totals = np.rint(rates)
-        ctx = make_score_context(
-            grid,
-            budget,
-            params,
-            totals,
-            slot_s=cfg.slot_s,
-            packet_bits=cfg.packet_bits,
-            ds_km=cfg.ds_diameters * grid.cell_diameter,
-            omega_max=omega_max_for(budget, params, beams, cfg.slot_s),
-            backend=cfg.backend,
-        )
+        ctx = _score_context(cfg, grid, params, budget, totals, cfg.ds_diameters)
         for alg in cfg.algorithms:
             fn = _pattern_fn(alg, n, beams, cfg.seeds[0], 1000, ctx, cfg)
             times = []
@@ -311,34 +311,17 @@ def run_convergence_trace(cfg: ExperimentConfig) -> dict:
     grid, params, budget = make_system(cfg.rings, cfg.cell_diameter_km)
     n = grid.n_cells
     beams = cfg.beams_for(n)
-    settings = PlannerSettings(beams=beams, horizon_slots=cfg.horizon_slots)
-    c0 = default_c_max(budget, params, settings)
-    base_cfg = MctsConfig(
-        max_iterations=cfg.mcts_iterations,
-        exploration_constant=cfg.mcts_exploration,
-    )
+    c0 = default_c_max(budget, params, _planner_settings(cfg, grid, cfg.ds_diameters))
+    base_cfg = _mcts_config(cfg)
     out = {"n_cells": n, "beams": beams, "seeds": list(cfg.seeds), "runs": []}
     for seed in cfg.seeds:
         rates = scaled_demand(grid, 1.0, beams, c0, cfg, seed)
         totals = np.rint(rates)
-        ctx = make_score_context(
-            grid,
-            budget,
-            params,
-            totals,
-            slot_s=cfg.slot_s,
-            packet_bits=cfg.packet_bits,
-            ds_km=cfg.ds_diameters * grid.cell_diameter,
-            omega_max=omega_max_for(budget, params, beams, cfg.slot_s),
-            backend=cfg.backend,
-        )
+        ctx = _score_context(cfg, grid, params, budget, totals, cfg.ds_diameters)
         run = {"seed": seed}
         for label, pruned in (("unpruned", False), ("pruned", True)):
             mcfg = replace(
-                base_cfg,
-                pruning_enabled=pruned,
-                prune_width=cfg.prune_width,
-                rng_seed=_entropy(seed, int(pruned)),
+                base_cfg, pruning_enabled=pruned, rng_seed=_entropy(seed, int(pruned))
             )
             _, trace = compute_pattern_mcts_traced(ctx, totals, beams, mcfg)
             best = trace.best_so_far()
@@ -362,20 +345,8 @@ def run_scoring_bench(
         beams = cfg.beams_for(n)
         rng = np.random.default_rng(_entropy(rings, 99))
         totals = rng.integers(0, 20000, size=n).astype(float)
-        ctx = make_score_context(
-            grid,
-            budget,
-            params,
-            totals,
-            slot_s=cfg.slot_s,
-            packet_bits=cfg.packet_bits,
-            ds_km=cfg.ds_diameters * grid.cell_diameter,
-            omega_max=omega_max_for(budget, params, beams, cfg.slot_s),
-        )
-        patterns = [
-            tuple(sorted(int(c) for c in rng.choice(n, size=beams, replace=False)))
-            for _ in range(patterns_per_n)
-        ]
+        ctx = _score_context(cfg, grid, params, budget, totals, cfg.ds_diameters)
+        patterns = [pattern_random(n, beams, rng) for _ in range(patterns_per_n)]
         timings = {}
         for label, scorer in (
             ("bruteforce", score_bruteforce),
@@ -411,22 +382,9 @@ def run_beta_sweep(cfg: ExperimentConfig) -> list[dict]:
     grid, params, budget = make_system(cfg.rings, cfg.cell_diameter_km)
     n = grid.n_cells
     beams = cfg.beams_for(n)
-    settings = PlannerSettings(
-        beams=beams,
-        horizon_slots=cfg.horizon_slots,
-        slot_s=cfg.slot_s,
-        packet_bits=cfg.packet_bits,
-        ttl_slots=cfg.ttl_slots,
-        ds_km=cfg.ds_diameters * grid.cell_diameter,
-        backend=cfg.backend,
-    )
+    settings = _planner_settings(cfg, grid, cfg.ds_diameters)
     c0 = default_c_max(budget, params, settings)
-    mcts_cfg = MctsConfig(
-        max_iterations=cfg.mcts_iterations,
-        exploration_constant=cfg.mcts_exploration,
-        pruning_enabled=cfg.mcts_pruning,
-        prune_width=cfg.prune_width,
-    )
+    mcts_cfg = _mcts_config(cfg)
     rows = []
     for seed in cfg.seeds:
         rates = scaled_demand(grid, 1.0, beams, c0, cfg, seed)
@@ -475,48 +433,30 @@ def run_beta_sweep(cfg: ExperimentConfig) -> list[dict]:
 
 
 def run_ds_sweep(cfg: ExperimentConfig, patterns_per_ds: int = 30) -> list[dict]:
-    """Score time and plan quality as the interference window widens."""
+    """Score time and plan quality as the interference window widens.
+
+    The timing repeats cycle through all window sizes and keep each size's
+    fastest pass, so a change in host speed lands on every size alike.
+    """
     grid, params, budget = make_system(cfg.rings, cfg.cell_diameter_km)
     n = grid.n_cells
     beams = cfg.beams_for(n)
     rng = np.random.default_rng(_entropy(505, n))
     totals = rng.integers(0, 20000, size=n).astype(float)
-    patterns = [
-        tuple(sorted(int(c) for c in rng.choice(n, size=beams, replace=False)))
-        for _ in range(patterns_per_ds)
-    ]
-    mcts_cfg = MctsConfig(
-        max_iterations=cfg.mcts_iterations,
-        exploration_constant=cfg.mcts_exploration,
-    )
-    rows = []
-    for ds in cfg.ds_levels:
-        ds_km = ds * grid.cell_diameter
-        ctx = make_score_context(
-            grid,
-            budget,
-            params,
-            totals,
-            slot_s=cfg.slot_s,
-            packet_bits=cfg.packet_bits,
-            ds_km=ds_km,
-            omega_max=omega_max_for(budget, params, beams, cfg.slot_s),
-        )
-        best = math.inf
-        for _ in range(5):
+    patterns = [pattern_random(n, beams, rng) for _ in range(patterns_per_ds)]
+    contexts = [_score_context(cfg, grid, params, budget, totals, ds) for ds in cfg.ds_levels]
+    best = [math.inf] * len(contexts)
+    for _ in range(5):
+        for i, ctx in enumerate(contexts):
             t0 = time.perf_counter()
             for p in patterns:
                 score_sliding_window(p, ctx, beams)
-            best = min(best, time.perf_counter() - t0)
-        settings = PlannerSettings(
-            beams=beams,
-            horizon_slots=cfg.horizon_slots,
-            slot_s=cfg.slot_s,
-            packet_bits=cfg.packet_bits,
-            ttl_slots=cfg.ttl_slots,
-            ds_km=ds_km,
-            backend="sliding",
-        )
+            best[i] = min(best[i], time.perf_counter() - t0)
+    # Plans use the sliding scorer, the one Ds acts on, and unpruned search.
+    mcts_cfg = replace(_mcts_config(cfg), pruning_enabled=False)
+    rows = []
+    for ds, seconds in zip(cfg.ds_levels, best):
+        settings = replace(_planner_settings(cfg, grid, ds), backend="sliding")
         c0 = default_c_max(budget, params, settings)
         rates = scaled_demand(grid, 1.0, beams, c0, cfg, cfg.seeds[0])
         bhtp = plan_bhtp(
@@ -527,7 +467,7 @@ def run_ds_sweep(cfg: ExperimentConfig, patterns_per_ds: int = 30) -> list[dict]
         rows.append(
             {
                 "ds_diameters": ds,
-                "per_score_time_s": best / patterns_per_ds,
+                "per_score_time_s": seconds / patterns_per_ds,
                 "served_bits": sim["served_bits"],
             }
         )
@@ -547,9 +487,7 @@ def write_records_csv(records: list[MetricsRecord], path):
 
 
 def write_records_json(records: list[MetricsRecord], path):
-    with open(path, "w") as fh:
-        json.dump([asdict(r) for r in records], fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json([asdict(r) for r in records], path)
 
 
 def write_json(obj, path):
@@ -572,38 +510,35 @@ def strip_timing_columns(csv_text: str) -> str:
     return "\n".join(out) + "\n"
 
 
+# Sweep name -> (file written, function producing its records).
+_SWEEP_RUNNERS = {
+    "throughput": ("throughput.csv", run_throughput_sweep),
+    "timing": ("timing.json", run_timing_table),
+    "convergence": ("convergence.json", run_convergence_trace),
+    "scoring": ("scoring_bench.json", run_scoring_bench),
+    "beta": ("beta_sweep.json", run_beta_sweep),
+    "ds": ("ds_sweep.json", run_ds_sweep),
+}
+
+
 def run_all(cfg: ExperimentConfig) -> dict[str, Path]:
-    """Run every sweep named in cfg.sweeps; returns the files written."""
+    """Run every sweep named in cfg.sweeps; returns the files written.
+
+    Throughput records go to CSV with a JSON twin; every other sweep to JSON.
+    """
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     written: dict[str, Path] = {}
     for sweep in cfg.sweeps:
-        if sweep == "throughput":
-            records = run_throughput_sweep(cfg)
-            csv_path = outdir / "throughput.csv"
-            write_records_csv(records, csv_path)
-            write_records_json(records, outdir / "throughput.json")
-            written["throughput"] = csv_path
-        elif sweep == "timing":
-            path = outdir / "timing.json"
-            write_json(run_timing_table(cfg), path)
-            written["timing"] = path
-        elif sweep == "convergence":
-            path = outdir / "convergence.json"
-            write_json(run_convergence_trace(cfg), path)
-            written["convergence"] = path
-        elif sweep == "scoring":
-            path = outdir / "scoring_bench.json"
-            write_json(run_scoring_bench(cfg), path)
-            written["scoring"] = path
-        elif sweep == "beta":
-            path = outdir / "beta_sweep.json"
-            write_json(run_beta_sweep(cfg), path)
-            written["beta"] = path
-        elif sweep == "ds":
-            path = outdir / "ds_sweep.json"
-            write_json(run_ds_sweep(cfg), path)
-            written["ds"] = path
-        else:
+        if sweep not in _SWEEP_RUNNERS:
             raise ValueError(f"unknown sweep {sweep!r}")
+        filename, run = _SWEEP_RUNNERS[sweep]
+        path = outdir / filename
+        result = run(cfg)
+        if path.suffix == ".csv":
+            write_records_csv(result, path)
+            write_records_json(result, path.with_suffix(".json"))
+        else:
+            write_json(result, path)
+        written[sweep] = path
     return written

@@ -4,7 +4,8 @@ A pattern of K cells is built one cell at a time: K sequential searches,
 each fixing one more cell. A search-tree node is a partial pattern; rollouts
 complete the prefix uniformly at random and score the resulting pattern, and
 scores are backed up the path. After a fixed iteration budget the root child
-with the best mean score is committed and the next stage begins.
+with the best mean score is committed (ties to the lower cell id) and the
+next stage begins.
 
 Optional expansion pruning keeps only the most promising candidate cells at
 each node, ranked by a selection value that rewards large backlogs and
@@ -21,9 +22,6 @@ import numpy as np
 from .geometry import CellGrid
 from .scoring import ScoreContext, score_pattern, with_queue_totals
 
-COMMIT_RULES = ("mean", "visits")
-
-
 @dataclass(frozen=True)
 class MctsConfig:
     max_iterations: int = 200
@@ -33,8 +31,6 @@ class MctsConfig:
     prune_width: int | None = None
     # Any entropy acceptable to numpy's SeedSequence (int or tuple of ints).
     rng_seed: int | tuple = 0
-    # Per-stage commitment: child with best mean score, or most visits.
-    commit_rule: str = "mean"
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -43,8 +39,6 @@ class MctsConfig:
             raise ValueError("prune_width must be >= 1")
         if self.exploration_constant < 0:
             raise ValueError("exploration_constant must be >= 0")
-        if self.commit_rule not in COMMIT_RULES:
-            raise ValueError(f"unknown commit_rule {self.commit_rule!r}")
 
 
 class SearchNode:
@@ -237,16 +231,13 @@ def run_single_stage(
         backup(node, score)
         if trace_scores is not None:
             trace_scores.append(score)
-    return _commit(root, cfg), root
+    return _commit(root), root
 
 
-def _commit(root: SearchNode, cfg: MctsConfig) -> int:
+def _commit(root: SearchNode) -> int:
     if not root.children:
         raise ValueError("nothing to commit: root was never expanded")
-    if cfg.commit_rule == "visits":
-        key = lambda item: (item[1].visit_count, -item[0])
-    else:
-        key = lambda item: (item[1].mean_score(), -item[0])
+    key = lambda item: (item[1].mean_score(), -item[0])
     return max(root.children.items(), key=key)[0]
 
 
@@ -254,31 +245,29 @@ def compute_pattern_mcts(
     ctx: ScoreContext, queue_totals, beams: int, cfg: MctsConfig
 ) -> tuple:
     """Full K-stage pattern computation. Deterministic under cfg.rng_seed."""
-    pattern, _ = compute_pattern_mcts_traced(ctx, queue_totals, beams, cfg, trace=False)
-    return pattern
+    return compute_pattern_mcts_traced(ctx, queue_totals, beams, cfg)[0]
 
 
 def compute_pattern_mcts_traced(
-    ctx: ScoreContext, queue_totals, beams: int, cfg: MctsConfig, trace: bool = True
-) -> tuple[tuple, MctsTrace | None]:
+    ctx: ScoreContext, queue_totals, beams: int, cfg: MctsConfig
+) -> tuple[tuple, MctsTrace]:
+    """The K-stage pattern and the rollout scores of every stage."""
     n = ctx.grid.n_cells
     if beams > n:
         raise ValueError(f"cannot place {beams} beams on {n} cells")
     ctx = with_queue_totals(ctx, queue_totals)
     if beams == n:
         pattern = tuple(range(n))
-        return pattern, (MctsTrace(committed=pattern) if trace else None)
+        return pattern, MctsTrace(committed=pattern)
     seeds = np.random.SeedSequence(cfg.rng_seed).spawn(beams)
-    out = MctsTrace() if trace else None
+    out = MctsTrace()
+    scores = out.iteration_scores
     prefix: tuple = ()
     for stage in range(beams):
         rng = np.random.default_rng(seeds[stage])
-        scores = out.iteration_scores if trace else None
-        start = len(scores) if trace else 0
+        start = len(scores)
         action, _ = run_single_stage(ctx, prefix, beams, cfg, rng, scores)
-        if trace:
-            out.stage_bounds.append((start, len(out.iteration_scores)))
+        out.stage_bounds.append((start, len(scores)))
         prefix = prefix + (action,)
-    if trace:
-        out.committed = prefix
+    out.committed = prefix
     return prefix, out

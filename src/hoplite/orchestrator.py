@@ -214,6 +214,7 @@ class HybridPlanner:
         self._inflight: dict[bytes, tuple[Future, np.ndarray]] = {}
         self._idle = threading.Event()
         self._idle.set()
+        self._closed = False
         self.requests = 0
         self.cache_hits = 0
         self.online_misses = 0
@@ -253,6 +254,9 @@ class HybridPlanner:
         disc = self.cache.discretize(demand)
         key = self.cache.key_for(demand)
         with self._lock:
+            if self._closed:
+                self.dropped_jobs += 1
+                return
             if key in self._inflight or key in self._waiting:
                 self.coalesced += 1
                 return
@@ -265,7 +269,8 @@ class HybridPlanner:
             self._run_sync(settings)
         else:
             with self._lock:
-                self._dispatch_locked(settings)
+                started = self._dispatch_locked(settings)
+            self._watch(started, settings)
 
     def _run_sync(self, settings: PlannerSettings):
         while True:
@@ -275,18 +280,29 @@ class HybridPlanner:
                         self._idle.set()
                     return
                 key, disc = self._waiting.popitem(last=False)
-            try:
-                bhtp = _background_job(
-                    self.grid, self.budget, self.params, settings, self.mcts_cfg, disc
-                )
-            except Exception:
-                logger.exception("background plan job failed")
-                self.jobs_failed += 1
-            else:
-                self.cache.store(disc, bhtp)
-                self.jobs_completed += 1
+            self._record(disc, lambda: _background_job(
+                self.grid, self.budget, self.params, settings, self.mcts_cfg, disc
+            ))
 
-    def _dispatch_locked(self, settings: PlannerSettings):
+    def _record(self, disc: np.ndarray, result):
+        """Store the plan that ``result()`` returns, or log and count its failure."""
+        try:
+            bhtp = result()
+        except Exception:
+            logger.exception("background plan job failed")
+            self.jobs_failed += 1
+        else:
+            self.cache.store(disc, bhtp)
+            self.jobs_completed += 1
+
+    def _dispatch_locked(self, settings: PlannerSettings) -> list[tuple[bytes, Future]]:
+        """Submit waiting jobs up to the worker count; returns the new futures.
+
+        The caller passes them to :meth:`_watch` after releasing the lock: a
+        future that is already done runs its callback at once, on the calling
+        thread, and the callback takes the lock.
+        """
+        started = []
         while self._waiting and len(self._inflight) < self.max_workers:
             key, disc = self._waiting.popitem(last=False)
             future = self._executor.submit(
@@ -299,6 +315,11 @@ class HybridPlanner:
                 disc,
             )
             self._inflight[key] = (future, disc)
+            started.append((key, future))
+        return started
+
+    def _watch(self, started: list[tuple[bytes, Future]], settings: PlannerSettings):
+        for key, future in started:
             future.add_done_callback(
                 lambda fut, k=key, s=settings: self._on_done(k, fut, s)
             )
@@ -306,18 +327,12 @@ class HybridPlanner:
     def _on_done(self, key: bytes, future: Future, settings: PlannerSettings):
         with self._lock:
             _, disc = self._inflight.pop(key)
-        try:
-            bhtp = future.result()
-        except Exception:
-            logger.exception("background plan job failed")
-            self.jobs_failed += 1
-        else:
-            self.cache.store(disc, bhtp)
-            self.jobs_completed += 1
+        self._record(disc, future.result)
         with self._lock:
-            self._dispatch_locked(settings)
+            started = self._dispatch_locked(settings)
             if not self._inflight and not self._waiting:
                 self._idle.set()
+        self._watch(started, settings)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -326,6 +341,13 @@ class HybridPlanner:
         return self._idle.wait(timeout)
 
     def close(self):
+        """Drop the waiting jobs, then wait for the in-flight ones to finish."""
+        with self._lock:
+            self._closed = True
+            self.dropped_jobs += len(self._waiting)
+            self._waiting.clear()
+            if not self._inflight:
+                self._idle.set()
         if self._executor is not None:
             self._executor.shutdown(wait=True)
 

@@ -3,10 +3,11 @@
 A pattern's score is the normalized one-slot throughput it would deliver
 against the current queue backlog. The brute-force backend charges every
 served cell with interference from all other served cells (O(K^2) pair
-terms). The sliding-window backend first extracts the served cells in
-pre-sorted x order, then collects, per cell, only the co-served cells within
-the interference distance threshold on both axes via a three-pointer window
-scan, so pair terms drop to O(K * window).
+terms). The sliding-window backend sorts the served cells by x-rank, then
+collects, per cell, only the co-served cells inside the square window of
+half-width Ds (the interference distance threshold on both axes) via a
+three-pointer scan, so pair terms drop to O(K * window). Both backends end
+in the same SINR -> Shannon -> backlog-cap tail.
 
 The hot kernels deliberately run on plain Python floats: per-call array
 overhead would otherwise dwarf the per-interferer work these backends differ
@@ -44,16 +45,12 @@ class ScoreContext:
     ds_km: float = 942.0
     omega_max: float = 1.0
     backend: str = "sliding"
-    # Optional post-filter restricting window hits to the Euclidean disc of
-    # radius ds_km (the window itself gates per-axis). Off by default.
-    euclidean_filter: bool = False
     # Python-native caches for the scoring hot path.
     gain_cols: list = field(repr=False, default_factory=list)
     xs_list: list = field(repr=False, default_factory=list)
     ys_list: list = field(repr=False, default_factory=list)
-    sorted_by_x_list: list = field(repr=False, default_factory=list)
-    # rank_list[c] = position of cell c in sorted_by_x; sorting a pattern by
-    # rank reproduces mark_and_extract_sorted in O(K log K) instead of O(N).
+    # rank_list[c] = position of cell c in grid.sorted_by_x; sorting a
+    # pattern by rank gives its cells in ascending x in O(K log K).
     rank_list: list = field(repr=False, default_factory=list)
     queue_bits: list = field(repr=False, default_factory=list)
 
@@ -77,7 +74,6 @@ def make_score_context(
     ds_km: float | None = None,
     omega_max: float | None = None,
     backend: str = "sliding",
-    euclidean_filter: bool = False,
 ) -> ScoreContext:
     """Build a scoring context, deriving the normalizer if not given.
 
@@ -106,11 +102,9 @@ def make_score_context(
         ds_km=float(ds_km),
         omega_max=float(omega_max),
         backend=backend,
-        euclidean_filter=euclidean_filter,
         gain_cols=budget.gain2.T.tolist(),
         xs_list=grid.xs.tolist(),
         ys_list=grid.ys.tolist(),
-        sorted_by_x_list=grid.sorted_by_x.tolist(),
         rank_list=ranks.tolist(),
         queue_bits=(totals * packet_bits).tolist(),
     )
@@ -132,23 +126,6 @@ def with_queue_totals(ctx: ScoreContext, queue_totals) -> ScoreContext:
         queue_totals=totals,
         queue_bits=(totals * ctx.packet_bits).tolist(),
     )
-
-
-def mark_and_extract_sorted(
-    pattern, grid: CellGrid, sorted_cells: list[int] | None = None
-) -> list[int]:
-    """Served cells in ascending-x order via mark + scan of the stored order.
-
-    Two O(N) passes against the pre-sorted cell sequence, no comparison sort
-    at query time. Callers on the hot path pass ``sorted_cells`` (the grid's
-    x-order as a plain list) to skip the per-call array conversion.
-    """
-    marks = bytearray(grid.n_cells)
-    for c in pattern:
-        marks[c] = 1
-    if sorted_cells is None:
-        sorted_cells = grid.sorted_by_x.tolist()
-    return [c for c in sorted_cells if marks[c]]
 
 
 def interference_cells_sliding_window(
@@ -202,12 +179,11 @@ def interference_cells_sliding_window(
     return result
 
 
-def _sum_omegas(served, interferers_of, ctx: ScoreContext) -> float:
-    """Shared kernel: one-slot deliverable bits of a pattern.
+def _served_bits(served, accs, ctx: ScoreContext) -> float:
+    """Shared tail: one-slot deliverable bits given each cell's interference.
 
-    ``served`` and each ``interferers_of(n)`` must follow the module's fixed
-    summation order (ascending x-rank) so both backends produce identical
-    floating-point sums whenever their interferer sets agree.
+    ``accs[i]`` is the summed interferer gain at ``served[i]``; each cell
+    delivers its Shannon bits for the slot, capped by its backlog.
     """
     gain_cols = ctx.gain_cols
     power = ctx.params.beam_power_w
@@ -217,16 +193,30 @@ def _sum_omegas(served, interferers_of, ctx: ScoreContext) -> float:
     queue_bits = ctx.queue_bits
     log2 = math.log2
     total = 0.0
+    for n, acc in zip(served, accs):
+        ratio = power * gain_cols[n][n] / (noise + power * acc)
+        deliverable = bandwidth * log2(1.0 + ratio) * slot
+        backlog_bits = queue_bits[n]
+        total += deliverable if deliverable < backlog_bits else backlog_bits
+    return total
+
+
+def _sum_omegas(served, interferers_of, ctx: ScoreContext) -> float:
+    """One-slot deliverable bits with each cell's interferers enumerated.
+
+    ``served`` and each ``interferers_of(n)`` must follow the module's fixed
+    summation order (ascending x-rank) so both backends produce identical
+    floating-point sums whenever their interferer sets agree.
+    """
+    gain_cols = ctx.gain_cols
+    accs = []
     for n in served:
         col = gain_cols[n]
         acc = 0.0
         for l in interferers_of(n):
             acc += col[l]
-        ratio = power * col[n] / (noise + power * acc)
-        deliverable = bandwidth * log2(1.0 + ratio) * slot
-        backlog_bits = queue_bits[n]
-        total += deliverable if deliverable < backlog_bits else backlog_bits
-    return total
+        accs.append(acc)
+    return _served_bits(served, accs, ctx)
 
 
 def _check_cardinality(pattern, ctx: ScoreContext, expected: int | None):
@@ -270,7 +260,6 @@ def score_sliding_window(
     cols = [gain_cols[c] for c in ordered]
     length = len(ordered)
     ds_km = ctx.ds_km
-    euclid = ctx.euclidean_filter
     accs = [0.0] * length
     f = 0
     for s in range(length):
@@ -285,28 +274,11 @@ def score_sliding_window(
             for t in range(t0, f):
                 dy = ys_l[t] - y_s
                 if -ds_km <= dy <= ds_km:
-                    if euclid:
-                        dx = xs_l[t] - x_s
-                        if dx * dx + dy * dy > ds_km * ds_km:
-                            continue
                     accs[s] += col_s[ordered[t]]
                     accs[t] += cols[t][c_s]
         elif f < t0:  # window start may never pass its end
             f = t0
-    power = ctx.params.beam_power_w
-    noise = ctx.budget.noise_power_w
-    bandwidth = ctx.params.bandwidth_hz
-    slot = ctx.slot_s
-    queue_bits = ctx.queue_bits
-    log2 = math.log2
-    total = 0.0
-    for i in range(length):
-        n = ordered[i]
-        ratio = power * cols[i][n] / (noise + power * accs[i])
-        deliverable = bandwidth * log2(1.0 + ratio) * slot
-        backlog_bits = queue_bits[n]
-        total += deliverable if deliverable < backlog_bits else backlog_bits
-    return total / ctx.omega_max
+    return _served_bits(ordered, accs, ctx) / ctx.omega_max
 
 
 def score_pattern(

@@ -30,11 +30,6 @@ def test_ties_round_up():
     assert discretize([62.5], 100.0, 4)[0] == 75.0
 
 
-def test_floor_mode():
-    got = discretize([12.5, 24.9, 25.0, 99.9], 100.0, 4, mode="floor")
-    assert got.tolist() == [0.0, 0.0, 25.0, 75.0]
-
-
 def test_beta_one_two_point_grid():
     got = discretize([0.0, 49.9, 50.0, 100.0], 100.0, 1)
     assert got.tolist() == [0.0, 0.0, 100.0, 100.0]
@@ -55,8 +50,6 @@ def test_discretize_validation():
         discretize([1.0], 100.0, 2.5)
     with pytest.raises(ValueError):
         discretize([1.0], 0.0, 4)
-    with pytest.raises(ValueError):
-        discretize([1.0], 100.0, 4, mode="ceil")
 
 
 # -- keys --------------------------------------------------------------------

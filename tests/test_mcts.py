@@ -334,13 +334,3 @@ def test_mcts_config_validation():
         MctsConfig(prune_width=0)
     with pytest.raises(ValueError):
         MctsConfig(exploration_constant=-0.1)
-    with pytest.raises(ValueError):
-        MctsConfig(commit_rule="median")
-
-
-def test_commit_rule_visits(grid8, budget8, params):
-    totals = np.array([10.0, 900.0, 40.0, 700.0, 5.0, 300.0, 80.0, 60.0])
-    ctx = build_ctx(grid8, budget8, params, totals, beams=3)
-    cfg = MctsConfig(max_iterations=150, commit_rule="visits", rng_seed=11)
-    pattern = compute_pattern_mcts(ctx, totals, 3, cfg)
-    assert len(set(pattern)) == 3

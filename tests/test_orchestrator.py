@@ -1,7 +1,9 @@
 """Hybrid planner: plan construction, cache flow, background-fill contract."""
 
+import logging
 import threading
 import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -237,6 +239,56 @@ def test_online_path_not_blocked_by_inflight_job(system, monkeypatch):
         gate.release.set()
         assert response.source == "online_greedy"
         assert elapsed < 1.0  # nowhere near the gated job's 20 s hold
+
+
+class DoneExecutor:
+    """Executor stub whose futures are already finished when submit returns."""
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, wait=True):
+        pass
+
+
+def test_job_done_at_submit_does_not_deadlock(system):
+    grid = system[0]
+    planner = thread_planner(system)
+    planner._executor.shutdown()
+    planner._executor = DoneExecutor()
+    request = PlanRequest(np.full(grid.n_cells, 700.0))
+    caller = threading.Thread(target=planner.handle_request, args=(request,), daemon=True)
+    caller.start()
+    caller.join(timeout=30)
+    assert not caller.is_alive()
+    assert planner.stats()["jobs_completed"] == 1
+    assert planner.drain(0)
+
+
+def test_close_drops_waiting_jobs_without_errors(system, monkeypatch, caplog):
+    gate = GatedJob()
+    monkeypatch.setattr(orch, "_background_job", gate)
+    grid = system[0]
+    planner = thread_planner(system)
+    step = planner.cache.c_max / planner.cache.beta
+    for level in (1, 2, 3):
+        planner.handle_request(PlanRequest(np.full(grid.n_cells, level * step)))
+    assert gate.started.wait(5)
+    assert planner.stats()["waiting"] == 2
+    closer = threading.Thread(target=planner.close, daemon=True)
+    closer.start()
+    deadline = time.monotonic() + 5
+    while planner.stats()["waiting"] and time.monotonic() < deadline:
+        time.sleep(0.01)
+    gate.release.set()
+    closer.join(timeout=10)
+    assert not closer.is_alive()
+    assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
+    assert planner.drain(0)
+    stats = planner.stats()
+    assert (stats["jobs_completed"], stats["dropped_jobs"], stats["waiting"]) == (1, 2, 0)
 
 
 def test_sync_mode_failure_keeps_serving(system, monkeypatch):

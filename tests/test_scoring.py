@@ -10,7 +10,6 @@ from hoplite.geometry import generate_grid, grid_from_points
 from hoplite.scoring import (
     interference_cells_sliding_window,
     make_score_context,
-    mark_and_extract_sorted,
     omega_max_for,
     score_bruteforce,
     score_pattern,
@@ -167,25 +166,17 @@ def test_window_pointer_step_bounds(grid37):
 # -- served-cell extraction --------------------------------------------------------
 
 
-def test_mark_and_extract_matches_sort_oracle(grid37):
+def test_rank_sort_equals_mark_and_extract(ctx37, grid37):
+    def by_rank(pattern):
+        return sorted(pattern, key=ctx37.rank_list.__getitem__)
+
     rng = np.random.default_rng(31)
     for _ in range(50):
         pattern = random_pattern(rng, 37, int(rng.integers(1, 20)))
-        assert mark_and_extract_sorted(pattern, grid37) == x_ordered(pattern, grid37)
-
-
-def test_mark_and_extract_full_and_singleton(grid37):
+        assert by_rank(pattern) == x_ordered(pattern, grid37)
     full = tuple(range(37))
-    assert mark_and_extract_sorted(full, grid37) == list(grid37.sorted_by_x)
-    assert mark_and_extract_sorted((5,), grid37) == [5]
-
-
-def test_rank_sort_equals_mark_and_extract(ctx37, grid37):
-    rng = np.random.default_rng(37)
-    for _ in range(50):
-        pattern = random_pattern(rng, 37, 9)
-        by_rank = sorted(pattern, key=ctx37.rank_list.__getitem__)
-        assert by_rank == mark_and_extract_sorted(pattern, grid37)
+    assert by_rank(full) == x_ordered(full, grid37) == list(grid37.sorted_by_x)
+    assert by_rank((5,)) == [5]
 
 
 # -- scores -------------------------------------------------------------------------
@@ -310,24 +301,6 @@ def test_score_ranking_invariant_under_normalizer(grid37, budget37, params):
     order_a = sorted(range(20), key=lambda i: score_bruteforce(patterns[i], base, 9))
     order_b = sorted(range(20), key=lambda i: score_bruteforce(patterns[i], scaled, 9))
     assert order_a == order_b
-
-
-def test_euclidean_filter_only_removes_interference(grid37, budget37, params):
-    rng = np.random.default_rng(71)
-    totals = rng.integers(0, 20000, 37).astype(float)
-    ds = 1.5 * grid37.cell_diameter
-    plain = build_ctx(grid37, budget37, params, totals, beams=9, ds_km=ds)
-    disc = build_ctx(
-        grid37, budget37, params, totals, beams=9, ds_km=ds, euclidean_filter=True
-    )
-    saw_difference = False
-    for _ in range(50):
-        pattern = random_pattern(rng, 37, 9)
-        a = score_sliding_window(pattern, plain, 9)
-        b = score_sliding_window(pattern, disc, 9)
-        assert b >= a
-        saw_difference = saw_difference or b > a
-    assert saw_difference  # the corner of the square window must matter somewhere
 
 
 # -- context plumbing -----------------------------------------------------------------
