@@ -55,6 +55,16 @@ def entry_size_bytes(n_cells, beams, horizon) -> int:
     return int(4 + 4 * horizon * beams + 4 * n_cells + 8)
 
 
+class DemandClass:
+    """A demand vector's discretized form and its key, computed once."""
+
+    __slots__ = ("vector", "key")
+
+    def __init__(self, vector: np.ndarray, key: bytes):
+        self.vector = vector
+        self.key = key
+
+
 class _Entry:
     __slots__ = ("key", "vector", "bhtp")
 
@@ -106,16 +116,23 @@ class BhtpCache:
         return discretize(vector, self.c_max, self.beta)
 
     def key_for(self, vector) -> bytes:
-        return demand_key(self.discretize(vector), self.key_bytes)
+        return self.classify(vector).key
+
+    def classify(self, vector) -> DemandClass:
+        """The discretized vector and its key (the key that key_for() gives)."""
+        disc = self.discretize(vector)
+        return DemandClass(disc, demand_key(disc, self.key_bytes))
 
     def lookup(self, vector) -> tuple | None:
         """Stored plan for this demand class, or None.
 
-        A key hit whose stored vector differs from the probe's discretized
-        vector is a collision: counted and treated as a miss.
+        ``vector`` is a demand vector or the DemandClass that classify()
+        returned for it. A key hit whose stored vector differs from the
+        probe's discretized vector is a collision: counted and treated as a
+        miss.
         """
-        disc = self.discretize(vector).astype("<f4")
-        key = demand_key(disc, self.key_bytes)
+        demand = vector if isinstance(vector, DemandClass) else self.classify(vector)
+        disc, key = demand.vector.astype("<f4"), demand.key
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
@@ -127,7 +144,7 @@ class BhtpCache:
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
-            return tuple(tuple(int(c) for c in row) for row in entry.bhtp)
+            return tuple(map(tuple, entry.bhtp.tolist()))
 
     def store(self, vector, bhtp) -> bytes:
         """Insert or overwrite the plan for this demand class; returns the key."""
@@ -173,11 +190,22 @@ class BhtpCache:
                 fh.write(payload)
 
     def load(self, path):
-        """Replace current contents with a snapshot written by save()."""
+        """Replace current contents with a snapshot written by save().
+
+        A snapshot that is cut short or whose record sizes disagree raises
+        ValueError and leaves the current contents as they were.
+        """
+
+        def read(fh, size: int) -> bytes:
+            data = fh.read(size)
+            if len(data) != size:
+                raise ValueError(f"{path}: truncated snapshot")
+            return data
+
         with open(path, "rb") as fh:
             if fh.read(4) != MAGIC:
                 raise ValueError(f"{path}: not a plan-cache snapshot")
-            version, key_bytes, count = struct.unpack("<III", fh.read(12))
+            version, key_bytes, count = struct.unpack("<III", read(fh, 12))
             if version != 1:
                 raise ValueError(f"{path}: unsupported snapshot version {version}")
             if key_bytes != self.key_bytes:
@@ -186,12 +214,14 @@ class BhtpCache:
                 )
             entries: OrderedDict[bytes, _Entry] = OrderedDict()
             for _ in range(count):
-                (length,) = struct.unpack("<I", fh.read(4))
-                payload = fh.read(length)
-                if len(payload) != length:
-                    raise ValueError(f"{path}: truncated record")
+                (length,) = struct.unpack("<I", read(fh, 4))
+                payload = read(fh, length)
+                if length < key_bytes + 12:
+                    raise ValueError(f"{path}: record shorter than its header")
                 key = payload[:key_bytes]
                 n, beams, slots = struct.unpack_from("<III", payload, key_bytes)
+                if length != key_bytes + 12 + 4 * n + 4 * slots * beams:
+                    raise ValueError(f"{path}: record sizes do not match its length")
                 off = key_bytes + 12
                 vector = np.frombuffer(payload, dtype="<f4", count=n, offset=off)
                 off += 4 * n

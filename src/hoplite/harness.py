@@ -337,7 +337,11 @@ def run_convergence_trace(cfg: ExperimentConfig) -> dict:
 def run_scoring_bench(
     cfg: ExperimentConfig, patterns_per_n: int = 50, repeats: int = 5
 ) -> list[dict]:
-    """Per-score wall time, brute force vs sliding window, across grid sizes."""
+    """Per-score wall time, brute force vs sliding window, across grid sizes.
+
+    Each repeat times both scorers back to back and each keeps its fastest
+    pass, so a change in host speed lands on both alike.
+    """
     rows = []
     for rings in cfg.bench_rings:
         grid, params, budget = make_system(rings, cfg.cell_diameter_km)
@@ -347,25 +351,22 @@ def run_scoring_bench(
         totals = rng.integers(0, 20000, size=n).astype(float)
         ctx = _score_context(cfg, grid, params, budget, totals, cfg.ds_diameters)
         patterns = [pattern_random(n, beams, rng) for _ in range(patterns_per_n)]
-        timings = {}
-        for label, scorer in (
-            ("bruteforce", score_bruteforce),
-            ("sliding", score_sliding_window),
-        ):
-            best = math.inf
-            for _ in range(repeats):
+        scorers = (score_bruteforce, score_sliding_window)
+        best = [math.inf] * len(scorers)
+        for _ in range(repeats):
+            for i, scorer in enumerate(scorers):
                 t0 = time.perf_counter()
                 for p in patterns:
                     scorer(p, ctx, beams)
-                best = min(best, time.perf_counter() - t0)
-            timings[label] = best / patterns_per_n
+                best[i] = min(best[i], time.perf_counter() - t0)
+        brute, sliding = (seconds / patterns_per_n for seconds in best)
         rows.append(
             {
                 "n_cells": n,
                 "beams": beams,
-                "bruteforce_per_score_s": timings["bruteforce"],
-                "sliding_per_score_s": timings["sliding"],
-                "speedup": timings["bruteforce"] / timings["sliding"],
+                "bruteforce_per_score_s": brute,
+                "sliding_per_score_s": sliding,
+                "speedup": brute / sliding,
             }
         )
     return rows

@@ -5,7 +5,9 @@ each fixing one more cell. A search-tree node is a partial pattern; rollouts
 complete the prefix uniformly at random and score the resulting pattern, and
 scores are backed up the path. After a fixed iteration budget the root child
 with the best mean score is committed (ties to the lower cell id) and the
-next stage begins.
+next stage begins. Expanding a node records its candidate cells; a child
+node is created on the first descent into it, so a stage of I iterations
+holds at most I + 1 nodes.
 
 Optional expansion pruning keeps only the most promising candidate cells at
 each node, ranked by a selection value that rewards large backlogs and
@@ -49,6 +51,7 @@ class SearchNode:
         "action",
         "parent",
         "children",
+        "candidates",
         "visit_count",
         "score_sum",
         "own_visits",
@@ -60,6 +63,9 @@ class SearchNode:
         self.action = action
         self.parent = parent
         self.children: dict[int, SearchNode] = {}
+        # Sorted actions to try from here, set on expansion; children are
+        # created in this order, one per first descent.
+        self.candidates: list[int] = []
         self.visit_count = 0
         self.score_sum = 0.0
         # Rollouts launched from this exact node (leaf bookkeeping), kept
@@ -148,13 +154,18 @@ def uct_select(node: SearchNode, c: float) -> int:
     """Child action maximizing mean + c*sqrt(ln(parent visits)/child visits).
 
     Unvisited children take infinite priority; all ties go to the lower cell
-    id (children iterate in ascending action order).
+    id (children iterate in ascending action order). A candidate with no
+    child yet is unvisited, and candidates are visited in ascending order, so
+    the next one is tried before any UCT comparison.
     """
-    if not node.children:
+    children = node.children
+    if len(children) < len(node.candidates):
+        return node.candidates[len(children)]
+    if not children:
         raise ValueError("uct_select on a node with no children")
     log_n = math.log(node.visit_count) if node.visit_count > 1 else 0.0
     best_action, best_value = -1, -math.inf
-    for action, child in node.children.items():
+    for action, child in children.items():
         if child.visit_count == 0:
             return action
         value = child.score_sum / child.visit_count + c * math.sqrt(
@@ -200,8 +211,7 @@ def _expand(node: SearchNode, ctx: ScoreContext, cfg: MctsConfig, beams: int):
         candidates = pruned_actions(
             candidates, node.prefix, ctx.queue_totals, ctx.grid, width
         )
-    for action in sorted(candidates):
-        node.children[action] = SearchNode(node.prefix + (action,), action, node)
+    node.candidates = sorted(candidates)
 
 
 def run_single_stage(
@@ -224,9 +234,14 @@ def run_single_stage(
         while not node.is_terminal(beams):
             if node.visit_count == 0 and node.parent is not None:
                 break  # fresh leaf: roll out before growing below it
-            if not node.children:
+            if not node.candidates:
                 _expand(node, ctx, cfg, beams)
-            node = node.children[uct_select(node, c)]
+            action = uct_select(node, c)
+            child = node.children.get(action)
+            if child is None:
+                child = SearchNode(node.prefix + (action,), action, node)
+                node.children[action] = child
+            node = child
         score = simulate(node, ctx, beams, rng)
         backup(node, score)
         if trace_scores is not None:
@@ -235,6 +250,8 @@ def run_single_stage(
 
 
 def _commit(root: SearchNode) -> int:
+    # Only visited candidates have children. An unvisited one (mean 0) never
+    # wins: scores are >= 0 and the lowest candidate id is visited first.
     if not root.children:
         raise ValueError("nothing to commit: root was never expanded")
     key = lambda item: (item[1].mean_score(), -item[0])

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .baselines import pattern_greedy
-from .cache import BhtpCache
+from .cache import BhtpCache, DemandClass
 from .channel import LinkBudget, LinkParams, build_link_budget, pattern_capacities
 from .geometry import CellGrid
 from .mcts import MctsConfig, compute_pattern_mcts
@@ -238,21 +238,25 @@ class HybridPlanner:
             if horizon == self.settings.horizon_slots
             else replace(self.settings, horizon_slots=horizon)
         )
-        self.requests += 1
-        stored = self.cache.lookup(demand)
-        if stored is not None and len(stored) == horizon:
-            self.cache_hits += 1
+        demand_class = self.cache.classify(demand)
+        stored = self.cache.lookup(demand_class)
+        hit = stored is not None and len(stored) == horizon
+        with self._lock:
+            self.requests += 1
+            if hit:
+                self.cache_hits += 1
+            else:
+                self.online_misses += 1
+        if hit:
             return PlanResponse(stored, "cache", time.perf_counter() - t0, req.request_id)
-        self.online_misses += 1
-        self._enqueue(demand, settings)
+        self._enqueue(demand_class, settings)
         bhtp = plan_bhtp(demand, self.grid, self.budget, self.params, settings, "greedy")
         return PlanResponse(bhtp, "online_greedy", time.perf_counter() - t0, req.request_id)
 
     # -- background fill ----------------------------------------------------
 
-    def _enqueue(self, demand: np.ndarray, settings: PlannerSettings):
-        disc = self.cache.discretize(demand)
-        key = self.cache.key_for(demand)
+    def _enqueue(self, demand: DemandClass, settings: PlannerSettings):
+        disc, key = demand.vector, demand.key
         with self._lock:
             if self._closed:
                 self.dropped_jobs += 1
@@ -290,10 +294,12 @@ class HybridPlanner:
             bhtp = result()
         except Exception:
             logger.exception("background plan job failed")
-            self.jobs_failed += 1
+            with self._lock:
+                self.jobs_failed += 1
         else:
             self.cache.store(disc, bhtp)
-            self.jobs_completed += 1
+            with self._lock:
+                self.jobs_completed += 1
 
     def _dispatch_locked(self, settings: PlannerSettings) -> list[tuple[bytes, Future]]:
         """Submit waiting jobs up to the worker count; returns the new futures.

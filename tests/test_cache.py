@@ -222,3 +222,30 @@ def test_load_rejects_garbage(tmp_path):
     other_width = BhtpCache(c_max=100.0, beta=4, key_bytes=8)
     with pytest.raises(ValueError):
         other_width.load(ok)
+
+
+def test_load_rejects_every_strict_prefix(tmp_path):
+    cache = BhtpCache(c_max=100.0, beta=4)
+    for i in range(3):
+        cache.store(np.array([i * 25.0, 50.0]), plan_for(i))
+    full = tmp_path / "full.bin"
+    cache.save(full)
+    data = full.read_bytes()
+    fresh = BhtpCache(c_max=100.0, beta=4)
+    fresh.store(np.array([75.0, 75.0]), plan_for(9))
+    cut = tmp_path / "cut.bin"
+    for size in range(len(data)):
+        cut.write_bytes(data[:size])
+        with pytest.raises(ValueError):
+            fresh.load(cut)
+        assert len(fresh) == 1  # a failed load keeps the old contents
+    fresh.load(full)
+    assert fresh.lookup(np.array([50.0, 50.0])) == plan_for(2)
+
+
+def test_lookup_returns_python_int_tuples():
+    cache = BhtpCache(c_max=100.0, beta=4)
+    cache.store(np.array([25.0]), np.array([[3, 1], [2, 0]], dtype=np.int64))
+    plan = cache.lookup(np.array([25.0]))
+    assert plan == ((3, 1), (2, 0))
+    assert all(type(row) is tuple and all(type(c) is int for c in row) for row in plan)

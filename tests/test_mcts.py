@@ -1,10 +1,13 @@
 """Tree search: selection oracle, backup accounting, end-to-end quality."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from hoplite.channel import build_link_budget
+from hoplite.geometry import generate_grid
 from hoplite.mcts import (
     MctsConfig,
     SearchNode,
@@ -120,6 +123,18 @@ def test_subtree_sums_recompute_exactly(grid8, budget8, params):
         assert node.score_sum == pytest.approx(
             node.own_score_sum + child_sums, rel=1e-9
         )
+
+
+def test_stage_creates_at_most_one_node_per_iteration(params):
+    # Children are created on first descent, so a 127-cell stage holds the
+    # root plus one node per rollout, not one node per candidate cell.
+    grid = generate_grid(6)
+    rng = np.random.default_rng(31)
+    totals = rng.integers(0, 20000, size=grid.n_cells).astype(float)
+    ctx = build_ctx(grid, build_link_budget(grid, params), params, totals, beams=31)
+    _, root = run_single_stage(ctx, (), 31, MctsConfig(max_iterations=200), rng)
+    assert root.visit_count == 200
+    assert sum(1 for _ in walk(root)) <= 201
 
 
 def test_root_visit_accounting(grid8, budget8, params):
@@ -313,6 +328,29 @@ def test_more_iterations_not_worse_on_average(grid37, budget37, params):
             pattern = compute_pattern_mcts(ctx, totals, 9, cfg)
             out.append(score_sliding_window(pattern, ctx, 9))
     assert np.mean(hi) >= np.mean(lo)
+
+
+@pytest.mark.parametrize(
+    "iterations, pruning, pattern, scores_sha256",
+    [
+        (60, False, (0, 16, 18, 30, 23, 14, 25, 27, 20),
+         "2c55b1716a215250aa501cab71666b66753142ab542364838f7ecb95d23c5e93"),
+        (20, False, (12, 5, 18, 20, 10, 24, 16, 17, 0),
+         "bbb754de8e786ea6275d989fb85e19d8d01d5435b31bd93184062489c7957c63"),
+        (60, True, (30, 1, 24, 33, 2, 27, 16, 12, 36),
+         "9428e8d3f0302e4bb9c5ea47bb49e9bc03b5f2eb1b2971de6f36b29589b07ac0"),
+    ],
+    ids=["plain60", "plain20", "pruned60"],
+)
+def test_pinned_search_trajectory(ctx37, iterations, pruning, pattern, scores_sha256):
+    # Recorded from the eager tree that built every child on expansion: the
+    # tree layout may change, the search decisions and rollouts may not.
+    # 20 iterations is below the 37 root candidates, 60 above.
+    cfg = MctsConfig(max_iterations=iterations, pruning_enabled=pruning, rng_seed=8)
+    got, trace = compute_pattern_mcts_traced(ctx37, ctx37.queue_totals, 9, cfg)
+    assert got == pattern
+    wire = repr([s.hex() for s in trace.iteration_scores]).encode()
+    assert hashlib.sha256(wire).hexdigest() == scores_sha256
 
 
 def test_trace_structure(ctx37):

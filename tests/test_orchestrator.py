@@ -1,6 +1,7 @@
 """Hybrid planner: plan construction, cache flow, background-fill contract."""
 
 import logging
+import sys
 import threading
 import time
 from concurrent.futures import Future
@@ -126,6 +127,36 @@ def test_first_miss_then_hit_sync(system):
     assert stats["jobs_completed"] == 1
 
 
+def test_counters_exact_under_concurrent_requests(system):
+    grid = system[0]
+    planner = sync_planner(system)
+    demand = np.full(grid.n_cells, 900.0)
+    planner.handle_request(PlanRequest(demand))  # miss; the sync job fills the cache
+    threads, per_thread = 8, 250
+    barrier = threading.Barrier(threads)
+
+    def hammer():
+        barrier.wait()
+        for _ in range(per_thread):
+            planner.handle_request(PlanRequest(demand))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=hammer, daemon=True) for _ in range(threads)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    stats = planner.stats()
+    assert stats["requests"] == 1 + threads * per_thread
+    assert stats["cache_hits"] == threads * per_thread
+    assert stats["online_misses"] == 1
+
+
 def test_demand_length_checked(system):
     planner = sync_planner(system)
     with pytest.raises(ValueError):
@@ -223,6 +254,24 @@ def test_pending_queue_drops_oldest(system, monkeypatch):
         assert planner.stats()["jobs_completed"] == 3
         kept = [planner.cache.lookup(d) is not None for d in demands]
         assert kept == [True, False, True, True]  # the oldest waiter was shed
+
+
+def test_miss_discretizes_demand_once(system, monkeypatch):
+    gate = GatedJob()
+    monkeypatch.setattr(orch, "_background_job", gate)
+    grid = system[0]
+    with thread_planner(system) as planner:
+        calls = []
+        discretize = planner.cache.discretize
+        planner.cache.discretize = lambda v: calls.append(1) or discretize(v)
+        try:
+            response = planner.handle_request(PlanRequest(np.full(grid.n_cells, 1200.0)))
+            on_request = len(calls)  # before the job's store adds its own
+        finally:
+            gate.release.set()
+        assert response.source == "online_greedy"
+        assert on_request == 1  # shared by the lookup, the job and its key
+        assert planner.drain(timeout=10)
 
 
 def test_online_path_not_blocked_by_inflight_job(system, monkeypatch):
