@@ -147,12 +147,16 @@ class BhtpCache:
             return tuple(map(tuple, entry.bhtp.tolist()))
 
     def store(self, vector, bhtp) -> bytes:
-        """Insert or overwrite the plan for this demand class; returns the key."""
-        disc = self.discretize(vector)
-        key = demand_key(disc, self.key_bytes)
+        """Insert or overwrite the plan for this demand class; returns the key.
+
+        ``vector`` is a demand vector or the DemandClass that classify()
+        returned for it.
+        """
+        demand = vector if isinstance(vector, DemandClass) else self.classify(vector)
+        key = demand.key
         plan = _as_plan_array(bhtp)
         with self._lock:
-            self._entries[key] = _Entry(key, disc.astype("<f4"), plan)
+            self._entries[key] = _Entry(key, demand.vector.astype("<f4"), plan)
             self._entries.move_to_end(key)
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)

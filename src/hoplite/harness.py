@@ -86,7 +86,6 @@ class ExperimentConfig:
     prune_width: int | None = None
     ga_population: int = 60
     ga_generations: int = 10
-    beta: int = 4
     beta_levels: tuple = (2, 4, 6, 8, 10)
     ds_levels: tuple = (1.0, 2.0, 3.0, 4.0, 5.0)
     bench_rings: tuple = (3, 4, 5, 6)

@@ -6,7 +6,9 @@ immediately; otherwise the request is answered with a greedy plan computed
 on the spot, and a background search job is queued that computes an MCTS
 plan for the same demand class and stores it for future requests. Jobs for
 the same discretized demand coalesce, and the waiting queue is depth-limited
-(oldest waiting demand dropped first).
+(oldest waiting demand dropped first). A job keeps its request's horizon. A
+job that raises or cannot be submitted is logged and counted as failed; the
+request that queued it has its greedy answer all the same.
 
 Plans are built closed-loop: each slot's pattern is chosen against the queue
 state that results from serving the previous slots of the same plan, with
@@ -19,8 +21,10 @@ import logging
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -175,6 +179,17 @@ def _background_job(
     return plan_bhtp(demand, grid, budget, params, settings, "mcts", mcts_cfg)
 
 
+def _reraise(exc: BaseException):
+    raise exc
+
+
+class _Job(NamedTuple):
+    """One background job from enqueue to store."""
+
+    demand: DemandClass  # discretized vector and its cache key
+    settings: PlannerSettings  # the queuing request's, horizon included
+
+
 class HybridPlanner:
     """Serves plan requests from the cache, filling misses in the background."""
 
@@ -210,8 +225,8 @@ class HybridPlanner:
         else:
             self._executor = None
         self._lock = threading.Lock()
-        self._waiting: OrderedDict[bytes, np.ndarray] = OrderedDict()
-        self._inflight: dict[bytes, tuple[Future, np.ndarray]] = {}
+        self._waiting: OrderedDict[bytes, _Job] = OrderedDict()
+        self._inflight: set[bytes] = set()
         self._idle = threading.Event()
         self._idle.set()
         self._closed = False
@@ -253,92 +268,74 @@ class HybridPlanner:
         bhtp = plan_bhtp(demand, self.grid, self.budget, self.params, settings, "greedy")
         return PlanResponse(bhtp, "online_greedy", time.perf_counter() - t0, req.request_id)
 
-    # -- background fill ----------------------------------------------------
+    # -- background fill: claim under the lock, start and finish outside it --
 
     def _enqueue(self, demand: DemandClass, settings: PlannerSettings):
-        disc, key = demand.vector, demand.key
         with self._lock:
             if self._closed:
                 self.dropped_jobs += 1
                 return
-            if key in self._inflight or key in self._waiting:
+            if demand.key in self._inflight or demand.key in self._waiting:
                 self.coalesced += 1
                 return
             self._idle.clear()
-            self._waiting[key] = disc
+            self._waiting[demand.key] = _Job(demand, settings)
             while len(self._waiting) > self.max_pending:
                 self._waiting.popitem(last=False)
                 self.dropped_jobs += 1
-        if self.mode == "sync":
-            self._run_sync(settings)
-        else:
-            with self._lock:
-                started = self._dispatch_locked(settings)
-            self._watch(started, settings)
+            job = self._claim_locked()
+        self._start(job)
 
-    def _run_sync(self, settings: PlannerSettings):
-        while True:
-            with self._lock:
-                if not self._waiting:
-                    if not self._inflight:
-                        self._idle.set()
-                    return
-                key, disc = self._waiting.popitem(last=False)
-            self._record(disc, lambda: _background_job(
-                self.grid, self.budget, self.params, settings, self.mcts_cfg, disc
-            ))
+    def _claim_locked(self) -> _Job | None:
+        """The oldest waiting job if a worker is free; sets idle if none is left.
 
-    def _record(self, disc: np.ndarray, result):
-        """Store the plan that ``result()`` returns, or log and count its failure."""
-        try:
-            bhtp = result()
-        except Exception:
-            logger.exception("background plan job failed")
-            with self._lock:
-                self.jobs_failed += 1
-        else:
-            self.cache.store(disc, bhtp)
-            with self._lock:
-                self.jobs_completed += 1
-
-    def _dispatch_locked(self, settings: PlannerSettings) -> list[tuple[bytes, Future]]:
-        """Submit waiting jobs up to the worker count; returns the new futures.
-
-        The caller passes them to :meth:`_watch` after releasing the lock: a
-        future that is already done runs its callback at once, on the calling
-        thread, and the callback takes the lock.
+        Nothing waits after close(), so nothing is claimed after it.
         """
-        started = []
-        while self._waiting and len(self._inflight) < self.max_workers:
-            key, disc = self._waiting.popitem(last=False)
-            future = self._executor.submit(
-                _background_job,
-                self.grid,
-                self.budget,
-                self.params,
-                settings,
-                self.mcts_cfg,
-                disc,
-            )
-            self._inflight[key] = (future, disc)
-            started.append((key, future))
-        return started
+        if self._waiting and len(self._inflight) < self.max_workers:
+            key, job = self._waiting.popitem(last=False)
+            self._inflight.add(key)
+            return job
+        if not self._waiting and not self._inflight:
+            self._idle.set()
+        return None
 
-    def _watch(self, started: list[tuple[bytes, Future]], settings: PlannerSettings):
-        for key, future in started:
-            future.add_done_callback(
-                lambda fut, k=key, s=settings: self._on_done(k, fut, s)
-            )
+    def _start(self, job: _Job | None):
+        """Run claimed jobs inline in sync mode, or submit them to the pool."""
+        while job is not None:
+            args = (self.grid, self.budget, self.params, job.settings, self.mcts_cfg,
+                    job.demand.vector)
+            if self._executor is None:
+                job = self._finish(job, lambda: _background_job(*args))
+                continue
+            try:
+                future = self._executor.submit(_background_job, *args)
+            except RuntimeError as exc:  # a dead worker broke the pool, or close() shut it
+                job = self._finish(job, None if self._closed else partial(_reraise, exc))
+                continue
+            # A future already done runs the callback here at once: hold no lock.
+            future.add_done_callback(lambda fut, j=job: self._start(self._finish(j, fut.result)))
+            return
 
-    def _on_done(self, key: bytes, future: Future, settings: PlannerSettings):
+    def _finish(self, job: _Job, result) -> _Job | None:
+        """Store the plan ``result()`` returns, or log and count its failure;
+        then release the job's key and claim the next job. ``result`` is None
+        for a job that close() shut the pool on before it ran: it is dropped.
+        """
+        if result is None:
+            counter = "dropped_jobs"
+        else:
+            try:
+                bhtp = result()
+            except Exception:
+                logger.exception("background plan job failed")
+                counter = "jobs_failed"
+            else:
+                self.cache.store(job.demand, bhtp)
+                counter = "jobs_completed"
         with self._lock:
-            _, disc = self._inflight.pop(key)
-        self._record(disc, future.result)
-        with self._lock:
-            started = self._dispatch_locked(settings)
-            if not self._inflight and not self._waiting:
-                self._idle.set()
-        self._watch(started, settings)
+            setattr(self, counter, getattr(self, counter) + 1)
+            self._inflight.remove(job.demand.key)
+            return self._claim_locked()
 
     # -- lifecycle -----------------------------------------------------------
 

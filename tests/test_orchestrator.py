@@ -1,10 +1,14 @@
 """Hybrid planner: plan construction, cache flow, background-fill contract."""
 
 import logging
+import multiprocessing
+import os
+import signal
 import sys
 import threading
 import time
 from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -272,6 +276,24 @@ def test_miss_discretizes_demand_once(system, monkeypatch):
         assert response.source == "online_greedy"
         assert on_request == 1  # shared by the lookup, the job and its key
         assert planner.drain(timeout=10)
+        assert len(calls) == 1  # the finished job stores the request's class
+
+
+def test_waiting_job_keeps_its_horizon(system, monkeypatch):
+    gate = GatedJob()
+    monkeypatch.setattr(orch, "_background_job", gate)
+    grid = system[0]
+    with thread_planner(system) as planner:  # default horizon 4
+        step = planner.cache.c_max / planner.cache.beta
+        planner.handle_request(PlanRequest(np.full(grid.n_cells, step)))
+        assert gate.started.wait(5)
+        short = np.full(grid.n_cells, 2 * step)
+        planner.handle_request(PlanRequest(short, horizon_slots=2))
+        assert planner.stats()["waiting"] == 1  # queued behind the gated job
+        gate.release.set()
+        assert planner.drain(timeout=10)
+        assert len(planner.cache.lookup(short)) == 2
+        assert planner.handle_request(PlanRequest(short, horizon_slots=2)).source == "cache"
 
 
 def test_online_path_not_blocked_by_inflight_job(system, monkeypatch):
@@ -314,6 +336,80 @@ def test_job_done_at_submit_does_not_deadlock(system):
     assert not caller.is_alive()
     assert planner.stats()["jobs_completed"] == 1
     assert planner.drain(0)
+
+
+class BrokenExecutor:
+    """Executor stub whose pool died: every submit raises."""
+
+    def submit(self, fn, *args):
+        raise BrokenProcessPool("a worker process died")
+
+    def shutdown(self, wait=True):
+        pass
+
+
+def test_submit_failure_is_a_failed_job(system):
+    grid = system[0]
+    planner = thread_planner(system)
+    planner._executor.shutdown()
+    planner._executor = BrokenExecutor()
+    response = planner.handle_request(PlanRequest(np.full(grid.n_cells, 700.0)))
+    assert response.source == "online_greedy"
+    stats = planner.stats()
+    assert (stats["jobs_failed"], stats["waiting"], stats["inflight"]) == (1, 0, 0)
+    assert planner.drain(0)
+
+
+class ClosingExecutor:
+    """Executor stub: close() shuts the pool down between claim and submit."""
+
+    def __init__(self, planner):
+        self.planner = planner
+
+    def submit(self, fn, *args):
+        self.planner.close()
+        raise RuntimeError("cannot schedule new futures after shutdown")
+
+    def shutdown(self, wait=True):
+        pass
+
+
+def test_job_claimed_before_close_is_dropped(system, caplog):
+    grid = system[0]
+    planner = thread_planner(system)
+    planner._executor.shutdown()
+    planner._executor = ClosingExecutor(planner)
+    request = PlanRequest(np.full(grid.n_cells, 700.0))
+    caller = threading.Thread(target=planner.handle_request, args=(request,), daemon=True)
+    caller.start()
+    caller.join(timeout=30)
+    assert not caller.is_alive()
+    assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
+    assert planner.drain(0)
+    stats = planner.stats()
+    assert (stats["jobs_failed"], stats["dropped_jobs"], stats["inflight"]) == (0, 1, 0)
+
+
+def test_killed_worker_degrades_to_greedy(system):
+    grid = system[0]
+    settings = PlannerSettings(beams=9, horizon_slots=4)
+    planner = HybridPlanner(grid, system[2], settings,
+                            mcts_cfg=MctsConfig(max_iterations=5), mode="process")
+    before = {p.pid for p in multiprocessing.active_children()}
+    try:
+        step = planner.cache.c_max / planner.cache.beta
+        first = planner.handle_request(PlanRequest(np.full(grid.n_cells, step)))
+        assert first.source == "online_greedy"
+        workers = [p for p in multiprocessing.active_children() if p.pid not in before]
+        assert len(workers) == 1
+        os.kill(workers[0].pid, signal.SIGKILL)
+        assert planner.drain(timeout=60)
+        later = planner.handle_request(PlanRequest(np.full(grid.n_cells, 2 * step)))
+        assert later.source == "online_greedy"
+        assert planner.drain(timeout=60)
+        assert planner.stats()["jobs_failed"] >= 1
+    finally:
+        planner.close()
 
 
 def test_close_drops_waiting_jobs_without_errors(system, monkeypatch, caplog):
