@@ -9,6 +9,13 @@ next stage begins. Expanding a node records its candidate cells; a child
 node is created on the first descent into it, so a stage of I iterations
 holds at most I + 1 nodes.
 
+Each node keeps its unchosen cells, derived from its parent's, and the visit
+counts and score sums of its children in arrays indexed like its candidate
+list, so UCT over a fully expanded node is a handful of array operations.
+Nodes point to their children only: the descent records its path and the
+backup walks it, so a stage's tree holds no reference cycle and is freed as
+soon as the stage returns.
+
 Optional expansion pruning keeps only the most promising candidate cells at
 each node, ranked by a selection value that rewards large backlogs and
 distance from already-chosen cells (less mutual interference).
@@ -48,30 +55,50 @@ class SearchNode:
 
     __slots__ = (
         "prefix",
-        "action",
-        "parent",
+        "remaining",
+        "slot",
         "children",
         "candidates",
+        "child_visits",
+        "child_sums",
         "visit_count",
         "score_sum",
         "own_visits",
         "own_score_sum",
     )
 
-    def __init__(self, prefix: tuple, action: int | None, parent):
+    def __init__(self, prefix: tuple, remaining: list[int], slot: int = -1):
         self.prefix = prefix
-        self.action = action
-        self.parent = parent
+        # Cells not in the prefix, ascending; never mutated once set.
+        self.remaining = remaining
+        # This node's index in its parent's candidates (-1 at the root).
+        self.slot = slot
         self.children: dict[int, SearchNode] = {}
         # Sorted actions to try from here, set on expansion; children are
         # created in this order, one per first descent.
         self.candidates: list[int] = []
+        # Per candidate: visits and score sum of its child (0 until created).
+        self.child_visits = self.child_sums = None
         self.visit_count = 0
         self.score_sum = 0.0
         # Rollouts launched from this exact node (leaf bookkeeping), kept
         # separate so subtree sums can be audited after the fact.
         self.own_visits = 0
         self.own_score_sum = 0.0
+
+    def expand(self, candidates: list[int]):
+        """Record the sorted candidate actions and zero their child stats."""
+        self.candidates = candidates
+        self.child_visits = np.zeros(len(candidates))
+        self.child_sums = np.zeros(len(candidates))
+
+    def add_child(self, action: int) -> "SearchNode":
+        """Create the child for the next candidate not yet tried, ``action``."""
+        remaining = self.remaining.copy()
+        remaining.remove(action)
+        child = SearchNode(self.prefix + (action,), remaining, len(self.children))
+        self.children[action] = child
+        return child
 
     def mean_score(self) -> float:
         return self.score_sum / self.visit_count if self.visit_count else 0.0
@@ -154,26 +181,22 @@ def uct_select(node: SearchNode, c: float) -> int:
     """Child action maximizing mean + c*sqrt(ln(parent visits)/child visits).
 
     Unvisited children take infinite priority; all ties go to the lower cell
-    id (children iterate in ascending action order). A candidate with no
-    child yet is unvisited, and candidates are visited in ascending order, so
-    the next one is tried before any UCT comparison.
+    id (the arrays follow the ascending candidate order and argmax takes the
+    first maximum). A candidate with no child yet is unvisited, and
+    candidates are visited in ascending order, so the next one is tried
+    before any UCT comparison.
     """
     children = node.children
     if len(children) < len(node.candidates):
         return node.candidates[len(children)]
     if not children:
         raise ValueError("uct_select on a node with no children")
+    visits = node.child_visits
+    if not visits.all():
+        return node.candidates[int(visits.argmin())]
     log_n = math.log(node.visit_count) if node.visit_count > 1 else 0.0
-    best_action, best_value = -1, -math.inf
-    for action, child in children.items():
-        if child.visit_count == 0:
-            return action
-        value = child.score_sum / child.visit_count + c * math.sqrt(
-            log_n / child.visit_count
-        )
-        if value > best_value:
-            best_action, best_value = action, value
-    return best_action
+    values = node.child_sums / visits + c * np.sqrt(log_n / visits)
+    return node.candidates[int(values.argmax())]
 
 
 def simulate(node: SearchNode, ctx: ScoreContext, beams: int, rng) -> float:
@@ -182,36 +205,38 @@ def simulate(node: SearchNode, ctx: ScoreContext, beams: int, rng) -> float:
     need = beams - len(prefix)
     if need == 0:
         return score_pattern(prefix, ctx, beams)
-    chosen = set(prefix)
-    remaining = [c for c in range(ctx.grid.n_cells) if c not in chosen]
+    remaining = node.remaining
     if need == len(remaining):
         extra = remaining
     else:
-        extra = rng.choice(len(remaining), size=need, replace=False)
-        extra = [remaining[i] for i in extra]
+        picks = rng.choice(len(remaining), size=need, replace=False).tolist()
+        extra = [remaining[i] for i in picks]
     return score_pattern(prefix + tuple(extra), ctx, beams)
 
 
-def backup(leaf: SearchNode, score: float):
-    """Add one rollout's score along the root-to-leaf path."""
+def backup(path: list[SearchNode], score: float):
+    """Add one rollout's score along the root-to-leaf ``path``."""
+    leaf = path[-1]
     leaf.own_visits += 1
     leaf.own_score_sum += score
-    node = leaf
-    while node is not None:
+    parent = None
+    for node in path:
         node.visit_count += 1
         node.score_sum += score
-        node = node.parent
+        if parent is not None:
+            parent.child_visits[node.slot] += 1.0
+            parent.child_sums[node.slot] += score
+        parent = node
 
 
 def _expand(node: SearchNode, ctx: ScoreContext, cfg: MctsConfig, beams: int):
-    chosen = set(node.prefix)
-    candidates = [c for c in range(ctx.grid.n_cells) if c not in chosen]
+    candidates = node.remaining
     if cfg.pruning_enabled:
         width = cfg.prune_width if cfg.prune_width is not None else beams
-        candidates = pruned_actions(
+        candidates = sorted(pruned_actions(
             candidates, node.prefix, ctx.queue_totals, ctx.grid, width
-        )
-    node.candidates = sorted(candidates)
+        ))
+    node.expand(candidates)
 
 
 def run_single_stage(
@@ -227,23 +252,27 @@ def run_single_stage(
     Returns (committed action, root) — the root is handed back so callers
     can audit visit counts and subtree score sums.
     """
-    root = SearchNode(tuple(prefix), None, None)
+    prefix = tuple(prefix)
+    chosen = set(prefix)
+    remaining = [cell for cell in range(ctx.grid.n_cells) if cell not in chosen]
+    root = SearchNode(prefix, remaining)
     c = cfg.exploration_constant
     for _ in range(cfg.max_iterations):
         node = root
+        path = [root]
         while not node.is_terminal(beams):
-            if node.visit_count == 0 and node.parent is not None:
+            if node.visit_count == 0 and node is not root:
                 break  # fresh leaf: roll out before growing below it
             if not node.candidates:
                 _expand(node, ctx, cfg, beams)
             action = uct_select(node, c)
             child = node.children.get(action)
             if child is None:
-                child = SearchNode(node.prefix + (action,), action, node)
-                node.children[action] = child
+                child = node.add_child(action)
             node = child
+            path.append(node)
         score = simulate(node, ctx, beams, rng)
-        backup(node, score)
+        backup(path, score)
         if trace_scores is not None:
             trace_scores.append(score)
     return _commit(root), root

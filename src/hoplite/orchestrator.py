@@ -8,7 +8,9 @@ plan for the same demand class and stores it for future requests. Jobs for
 the same discretized demand coalesce, and the waiting queue is depth-limited
 (oldest waiting demand dropped first). A job keeps its request's horizon. A
 job that raises or cannot be submitted is logged and counted as failed; the
-request that queued it has its greedy answer all the same.
+request that queued it has its greedy answer all the same. A pool whose
+worker died stays broken: its first failed submit logs a traceback, each
+later one a single line.
 
 Plans are built closed-loop: each slot's pattern is chosen against the queue
 state that results from serving the previous slots of the same plan, with
@@ -230,6 +232,7 @@ class HybridPlanner:
         self._idle = threading.Event()
         self._idle.set()
         self._closed = False
+        self._submit_failed = False  # a failed submit has logged its traceback
         self.requests = 0
         self.cache_hits = 0
         self.online_misses = 0
@@ -310,24 +313,34 @@ class HybridPlanner:
             try:
                 future = self._executor.submit(_background_job, *args)
             except RuntimeError as exc:  # a dead worker broke the pool, or close() shut it
-                job = self._finish(job, None if self._closed else partial(_reraise, exc))
+                if self._closed:
+                    job = self._finish(job, None)
+                    continue
+                # The pool stays broken, so every later submit fails alike.
+                with self._lock:
+                    first, self._submit_failed = not self._submit_failed, True
+                job = self._finish(job, partial(_reraise, exc), log_traceback=first)
                 continue
             # A future already done runs the callback here at once: hold no lock.
             future.add_done_callback(lambda fut, j=job: self._start(self._finish(j, fut.result)))
             return
 
-    def _finish(self, job: _Job, result) -> _Job | None:
+    def _finish(self, job: _Job, result, log_traceback: bool = True) -> _Job | None:
         """Store the plan ``result()`` returns, or log and count its failure;
         then release the job's key and claim the next job. ``result`` is None
         for a job that close() shut the pool on before it ran: it is dropped.
+        Without ``log_traceback`` a failure is logged as a single line.
         """
         if result is None:
             counter = "dropped_jobs"
         else:
             try:
                 bhtp = result()
-            except Exception:
-                logger.exception("background plan job failed")
+            except Exception as exc:
+                if log_traceback:
+                    logger.exception("background plan job failed")
+                else:
+                    logger.error("background plan job failed: %r", exc)
                 counter = "jobs_failed"
             else:
                 self.cache.store(job.demand, bhtp)

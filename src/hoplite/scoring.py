@@ -3,11 +3,13 @@
 A pattern's score is the normalized one-slot throughput it would deliver
 against the current queue backlog. The brute-force backend charges every
 served cell with interference from all other served cells (O(K^2) pair
-terms). The sliding-window backend sorts the served cells by x-rank, then
-collects, per cell, only the co-served cells inside the square window of
-half-width Ds (the interference distance threshold on both axes) via a
-three-pointer scan, so pair terms drop to O(K * window). Both backends end
-in the same SINR -> Shannon -> backlog-cap tail.
+terms). The sliding-window backend charges each served cell only with the
+co-served cells inside the square window of half-width Ds (the interference
+distance threshold on both axes), so pair terms drop to O(K * window). The
+window depends on the grid and Ds alone, so the paper's three-pointer scan
+runs once per context, over the whole x-sorted grid, and each score only
+filters the stored window of each served cell by pattern membership. Both
+backends end in the same SINR -> Shannon -> backlog-cap tail.
 
 The hot kernels deliberately run on plain Python floats: per-call array
 overhead would otherwise dwarf the per-interferer work these backends differ
@@ -33,7 +35,9 @@ class ScoreContext:
     """Everything a scorer needs for one queue snapshot.
 
     Immutable; use :func:`with_queue_totals` to rebind the snapshot between
-    slots without recomputing the cached link-budget columns.
+    slots without recomputing the cached link-budget columns. The window
+    table is built for ``ds_km``: a new threshold needs a new context from
+    :func:`make_score_context`.
     """
 
     grid: CellGrid
@@ -47,8 +51,9 @@ class ScoreContext:
     backend: str = "sliding"
     # Python-native caches for the scoring hot path.
     gain_cols: list = field(repr=False, default_factory=list)
-    xs_list: list = field(repr=False, default_factory=list)
-    ys_list: list = field(repr=False, default_factory=list)
+    # window[c] = the cells within ds_km of cell c on both axes, ascending
+    # in x-rank: the grid-wide three-pointer scan, done once per context.
+    window: list = field(repr=False, default_factory=list)
     # rank_list[c] = position of cell c in grid.sorted_by_x; sorting a
     # pattern by rank gives its cells in ascending x in O(K log K).
     rank_list: list = field(repr=False, default_factory=list)
@@ -92,6 +97,9 @@ def make_score_context(
         raise ValueError("omega_max is required; use omega_max_for(...)")
     ranks = np.empty(grid.n_cells, dtype=np.int64)
     ranks[grid.sorted_by_x] = np.arange(grid.n_cells)
+    window = interference_cells_sliding_window(
+        grid.sorted_by_x.tolist(), grid, float(ds_km)
+    )
     return ScoreContext(
         grid=grid,
         budget=budget,
@@ -103,8 +111,7 @@ def make_score_context(
         omega_max=float(omega_max),
         backend=backend,
         gain_cols=budget.gain2.T.tolist(),
-        xs_list=grid.xs.tolist(),
-        ys_list=grid.ys.tolist(),
+        window=[window[c] for c in range(grid.n_cells)],
         rank_list=ranks.tolist(),
         queue_bits=(totals * packet_bits).tolist(),
     )
@@ -139,9 +146,10 @@ def interference_cells_sliding_window(
     ``ordered`` must be ascending in x. Three pointers: the slow pointer
     fixes the cell under consideration, the fast pointer grows the window of
     cells whose x offset fits, and a temp pointer sweeps the window checking
-    y offsets. Pairs are recorded symmetrically. The fast pointer never moves
-    backward, so x-distance checks total O(n); only the in-window y sweeps
-    revisit elements.
+    y offsets. Pairs are recorded symmetrically, so each cell's list is in
+    the order of ``ordered``. The fast pointer never moves backward, so
+    x-distance checks total O(n); only the in-window y sweeps revisit
+    elements. :func:`make_score_context` runs it once over the whole grid.
     """
     xs = grid.xs.tolist()
     ys = grid.ys.tolist()
@@ -219,11 +227,14 @@ def _sum_omegas(served, interferers_of, ctx: ScoreContext) -> float:
     return _served_bits(served, accs, ctx)
 
 
-def _check_cardinality(pattern, ctx: ScoreContext, expected: int | None):
+def _check_cardinality(pattern, ctx: ScoreContext, expected: int | None) -> set:
+    """The pattern's cells as a set, after checking count and duplicates."""
     if expected is not None and len(pattern) != expected:
         raise ValueError(f"pattern has {len(pattern)} cells, expected {expected}")
-    if len(set(pattern)) != len(pattern):
+    served = set(pattern)
+    if len(served) != len(pattern):
         raise ValueError("pattern has duplicate cells")
+    return served
 
 
 def score_bruteforce(
@@ -244,40 +255,24 @@ def score_sliding_window(
 ) -> float:
     """Normalized score with interference limited to the ds window.
 
-    Fused single pass: the three-pointer window scan accumulates each served
-    cell's interference gain in place of materializing the neighbor map. The
-    pair set and the summation order match the map-based route exactly, so
-    with the window covering the whole grid this equals the brute-force
-    backend bit for bit.
+    Each served cell sums the gain of the co-served cells in its stored
+    window. Windows are in ascending x-rank, the order a per-pattern
+    three-pointer scan adds them in, so the pair set and the summation order
+    match that scan exactly; with the window covering the whole grid this
+    equals the brute-force backend bit for bit.
     """
-    _check_cardinality(pattern, ctx, expected_beams)
+    served = _check_cardinality(pattern, ctx, expected_beams)
     ordered = sorted(pattern, key=ctx.rank_list.__getitem__)
-    xs = ctx.xs_list
-    ys = ctx.ys_list
+    window = ctx.window
     gain_cols = ctx.gain_cols
-    xs_l = [xs[c] for c in ordered]
-    ys_l = [ys[c] for c in ordered]
-    cols = [gain_cols[c] for c in ordered]
-    length = len(ordered)
-    ds_km = ctx.ds_km
-    accs = [0.0] * length
-    f = 0
-    for s in range(length):
-        x_s = xs_l[s]
-        while f < length and xs_l[f] - x_s <= ds_km:
-            f += 1
-        t0 = s + 1
-        if f > t0:
-            y_s = ys_l[s]
-            col_s = cols[s]
-            c_s = ordered[s]
-            for t in range(t0, f):
-                dy = ys_l[t] - y_s
-                if -ds_km <= dy <= ds_km:
-                    accs[s] += col_s[ordered[t]]
-                    accs[t] += cols[t][c_s]
-        elif f < t0:  # window start may never pass its end
-            f = t0
+    accs = []
+    for c in ordered:
+        col = gain_cols[c]
+        acc = 0.0
+        for l in window[c]:
+            if l in served:
+                acc += col[l]
+        accs.append(acc)
     return _served_bits(ordered, accs, ctx) / ctx.omega_max
 
 

@@ -1,5 +1,6 @@
 """Tree search: selection oracle, backup accounting, end-to-end quality."""
 
+import gc
 import hashlib
 import math
 
@@ -30,11 +31,12 @@ from conftest import build_ctx
 
 def make_parent(stats):
     """Parent node with children inserted in ascending action order."""
-    root = SearchNode((), None, None)
+    root = SearchNode((), sorted(stats))
+    root.expand(sorted(stats))
     for action in sorted(stats):
-        child = SearchNode((action,), action, root)
+        child = root.add_child(action)
         child.visit_count, child.score_sum = stats[action]
-        root.children[action] = child
+        root.child_visits[child.slot], root.child_sums[child.slot] = stats[action]
     root.visit_count = max(1, sum(v for v, _ in stats.values()))
     return root
 
@@ -79,17 +81,19 @@ def test_uct_pure_exploitation():
 
 def test_uct_requires_children():
     with pytest.raises(ValueError):
-        uct_select(SearchNode((), None, None), 1.0)
+        uct_select(SearchNode((), []), 1.0)
 
 
 # -- backup -------------------------------------------------------------------
 
 
 def test_backup_single_path():
-    root = SearchNode((), None, None)
-    mid = SearchNode((1,), 1, root)
-    leaf = SearchNode((1, 2), 2, mid)
-    backup(leaf, 0.5)
+    root = SearchNode((), [1, 2, 3])
+    root.expand([1, 2, 3])
+    mid = root.add_child(1)
+    mid.expand([2, 3])
+    leaf = mid.add_child(2)
+    backup([root, mid, leaf], 0.5)
     for node in (root, mid, leaf):
         assert node.visit_count == 1
         assert node.score_sum == 0.5
@@ -123,6 +127,29 @@ def test_subtree_sums_recompute_exactly(grid8, budget8, params):
         assert node.score_sum == pytest.approx(
             node.own_score_sum + child_sums, rel=1e-9
         )
+        # The parent's per-candidate arrays add the same scores in the same
+        # order as each child's own sums, so they agree exactly.
+        for action, child in node.children.items():
+            assert node.candidates[child.slot] == action
+            assert node.child_visits[child.slot] == child.visit_count
+            assert node.child_sums[child.slot] == child.score_sum
+        if node.child_visits is not None:
+            assert not node.child_visits[len(node.children):].any()
+
+
+def test_stage_tree_needs_no_cycle_collector(ctx37):
+    # Nodes hold no parent pointer, so a finished stage's tree is freed by
+    # reference counting alone and leaves the cycle collector nothing.
+    gc.collect()
+    gc.disable()
+    try:
+        rng = np.random.default_rng(3)
+        _, root = run_single_stage(ctx37, (), 9, MctsConfig(max_iterations=100), rng)
+        assert sum(1 for _ in walk(root)) > 50
+        del root
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_stage_creates_at_most_one_node_per_iteration(params):
@@ -149,7 +176,7 @@ def test_root_visit_accounting(grid8, budget8, params):
 
 
 def test_terminal_rollout_is_deterministic(ctx37):
-    node = SearchNode(tuple(range(9)), 8, None)
+    node = SearchNode(tuple(range(9)), list(range(9, 37)))
     rng = np.random.default_rng(3)
     expect = score_sliding_window(tuple(range(9)), ctx37, 9)
     assert simulate(node, ctx37, 9, rng) == expect
@@ -158,7 +185,7 @@ def test_terminal_rollout_is_deterministic(ctx37):
 
 def test_one_missing_cell_rollout_deterministic(grid8, budget8, params):
     ctx = build_ctx(grid8, budget8, params, np.full(8, 10.0), beams=8)
-    node = SearchNode(tuple(range(7)), 6, None)
+    node = SearchNode(tuple(range(7)), [7])
     rng = np.random.default_rng(4)
     assert simulate(node, ctx, 8, rng) == score_sliding_window(tuple(range(8)), ctx, 8)
 
@@ -166,7 +193,7 @@ def test_one_missing_cell_rollout_deterministic(grid8, budget8, params):
 def test_rollout_mean_matches_uniform_sampling(ctx37):
     # Rollouts from the empty root are uniform 9-subsets, so their mean must
     # agree with an independently drawn sample of uniform subsets.
-    root = SearchNode((), None, None)
+    root = SearchNode((), list(range(37)))
     rng = np.random.default_rng(77)
     rollouts = np.array([simulate(root, ctx37, 9, rng) for _ in range(10_000)])
     oracle_rng = np.random.default_rng(1234)
@@ -330,24 +357,51 @@ def test_more_iterations_not_worse_on_average(grid37, budget37, params):
     assert np.mean(hi) >= np.mean(lo)
 
 
+@pytest.fixture(scope="module")
+def ctx127(params):
+    grid = generate_grid(6)
+    rng = np.random.default_rng(1234)
+    totals = rng.integers(0, 20000, size=grid.n_cells).astype(float)
+    return build_ctx(grid, build_link_budget(grid, params), params, totals, beams=31)
+
+
 @pytest.mark.parametrize(
-    "iterations, pruning, pattern, scores_sha256",
+    "ctx_name, beams, iterations, pruning, pattern, scores_sha256",
     [
-        (60, False, (0, 16, 18, 30, 23, 14, 25, 27, 20),
+        ("ctx37", 9, 60, False, (0, 16, 18, 30, 23, 14, 25, 27, 20),
          "2c55b1716a215250aa501cab71666b66753142ab542364838f7ecb95d23c5e93"),
-        (20, False, (12, 5, 18, 20, 10, 24, 16, 17, 0),
+        ("ctx37", 9, 20, False, (12, 5, 18, 20, 10, 24, 16, 17, 0),
          "bbb754de8e786ea6275d989fb85e19d8d01d5435b31bd93184062489c7957c63"),
-        (60, True, (30, 1, 24, 33, 2, 27, 16, 12, 36),
+        ("ctx37", 9, 60, True, (30, 1, 24, 33, 2, 27, 16, 12, 36),
          "9428e8d3f0302e4bb9c5ea47bb49e9bc03b5f2eb1b2971de6f36b29589b07ac0"),
+        ("ctx127", 31, 40, False,
+         (0, 4, 18, 19, 5, 2, 3, 45, 33, 48, 38, 20, 35, 14, 43, 36, 42, 39, 17, 28,
+          23, 34, 55, 29, 21, 26, 16, 47, 51, 61, 65),
+         "245ddb829d82d3e35f66eb15b8e0c5d28ee3fd556fa9e958930ed4357d5c4d1b"),
+        ("ctx127", 31, 140, False,
+         (0, 58, 123, 52, 23, 108, 103, 33, 70, 89, 38, 16, 53, 26, 115, 92, 90, 79,
+          9, 74, 78, 101, 119, 14, 82, 20, 80, 43, 126, 86, 18),
+         "079777c5d15e4c08855529c41ab32b77a40b1c76d7171bd699ff85709bcce4b9"),
+        ("ctx127", 31, 40, True,
+         (51, 17, 2, 86, 92, 70, 78, 87, 61, 30, 39, 76, 25, 82, 68, 103, 111, 89, 65,
+          126, 5, 0, 16, 81, 1, 123, 34, 106, 94, 98, 36),
+         "28761235e761ff5abc92b653df1300417159c1ac2f18dc3b048f165d078cd4c0"),
     ],
-    ids=["plain60", "plain20", "pruned60"],
+    ids=["plain60", "plain20", "pruned60", "rings6_plain40", "rings6_plain140",
+         "rings6_pruned40"],
 )
-def test_pinned_search_trajectory(ctx37, iterations, pruning, pattern, scores_sha256):
-    # Recorded from the eager tree that built every child on expansion: the
-    # tree layout may change, the search decisions and rollouts may not.
-    # 20 iterations is below the 37 root candidates, 60 above.
+def test_pinned_search_trajectory(
+    request, ctx_name, beams, iterations, pruning, pattern, scores_sha256
+):
+    # The 37-cell cases were recorded from the eager tree that built every
+    # child on expansion, the 127-cell ones from the tree with parent
+    # pointers and per-child visit counters: the tree layout may change, the
+    # search decisions and rollouts may not. 20 and 40 iterations are below
+    # the root candidate count (37, 127), 60 and 140 above; pruning keeps
+    # 9 and 31 root candidates.
+    ctx = request.getfixturevalue(ctx_name)
     cfg = MctsConfig(max_iterations=iterations, pruning_enabled=pruning, rng_seed=8)
-    got, trace = compute_pattern_mcts_traced(ctx37, ctx37.queue_totals, 9, cfg)
+    got, trace = compute_pattern_mcts_traced(ctx, ctx.queue_totals, beams, cfg)
     assert got == pattern
     wire = repr([s.hex() for s in trace.iteration_scores]).encode()
     assert hashlib.sha256(wire).hexdigest() == scores_sha256

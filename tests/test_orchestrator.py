@@ -348,7 +348,11 @@ class BrokenExecutor:
         pass
 
 
-def test_submit_failure_is_a_failed_job(system):
+def failure_records(caplog):
+    return [r for r in caplog.records if r.getMessage().startswith("background plan job failed")]
+
+
+def test_submit_failure_is_a_failed_job(system, caplog):
     grid = system[0]
     planner = thread_planner(system)
     planner._executor.shutdown()
@@ -358,6 +362,13 @@ def test_submit_failure_is_a_failed_job(system):
     stats = planner.stats()
     assert (stats["jobs_failed"], stats["waiting"], stats["inflight"]) == (1, 0, 0)
     assert planner.drain(0)
+    # The pool stays broken: each later miss fails alike and logs one line.
+    for level in (800.0, 900.0, 1000.0):
+        response = planner.handle_request(PlanRequest(np.full(grid.n_cells, level)))
+        assert response.source == "online_greedy"
+    records = failure_records(caplog)
+    assert len(records) == planner.stats()["jobs_failed"] == 4
+    assert [r.exc_info is not None for r in records] == [True, False, False, False]
 
 
 class ClosingExecutor:
@@ -390,7 +401,7 @@ def test_job_claimed_before_close_is_dropped(system, caplog):
     assert (stats["jobs_failed"], stats["dropped_jobs"], stats["inflight"]) == (0, 1, 0)
 
 
-def test_killed_worker_degrades_to_greedy(system):
+def test_killed_worker_degrades_to_greedy(system, caplog):
     grid = system[0]
     settings = PlannerSettings(beams=9, horizon_slots=4)
     # Seconds of search, so the first job is still running when its worker dies.
@@ -405,11 +416,21 @@ def test_killed_worker_degrades_to_greedy(system):
         assert len(workers) == 1
         os.kill(workers[0].pid, signal.SIGKILL)
         assert planner.drain(timeout=60)
+        caplog.clear()
         later = planner.handle_request(PlanRequest(np.full(grid.n_cells, 2 * step)))
         assert later.source == "online_greedy"
         assert planner.drain(timeout=60)
         stats = planner.stats()
         assert (stats["jobs_failed"], stats["jobs_completed"]) == (2, 0)
+        # Only the first failed submit on the broken pool logs a traceback.
+        for level in (3, 4, 5):
+            later = planner.handle_request(PlanRequest(np.full(grid.n_cells, level * step)))
+            assert later.source == "online_greedy"
+            assert planner.drain(timeout=60)
+        records = failure_records(caplog)
+        assert len(records) == 4
+        assert sum(r.exc_info is not None for r in records) == 1
+        assert planner.stats()["jobs_failed"] == 5
     finally:
         planner.close()
 

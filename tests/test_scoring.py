@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hoplite.channel import build_link_budget
 from hoplite.geometry import generate_grid, grid_from_points
 from hoplite.scoring import (
     interference_cells_sliding_window,
@@ -163,6 +164,34 @@ def test_window_pointer_step_bounds(grid37):
         assert stats["window_visits"] <= k * (k - 1) // 2
 
 
+@pytest.mark.parametrize("rings", [3, 6])
+def test_context_window_table_matches_brute_force(rings, params):
+    grid = generate_grid(rings)
+    n = grid.n_cells
+    budget = build_link_budget(grid, params)
+    xs, ys = grid.xs.tolist(), grid.ys.tolist()
+    order = x_ordered(range(n), grid)
+    rank = {c: i for i, c in enumerate(order)}
+    d = grid.cell_diameter
+    for ds in (0.0, d, 3 * d, grid.span() + 1.0):
+        ctx = build_ctx(grid, budget, params, np.zeros(n), beams=1, ds_km=ds)
+        assert len(ctx.window) == n
+        for c in range(n):
+            expect = []
+            for other in order:
+                if other == c:
+                    continue
+                # Offsets run from the earlier-ranked cell to the later one.
+                a, b = sorted((c, other), key=rank.__getitem__)
+                if -ds <= xs[b] - xs[a] <= ds and -ds <= ys[b] - ys[a] <= ds:
+                    expect.append(other)
+            assert ctx.window[c] == expect
+        if ds == 0.0:
+            assert not any(ctx.window)
+        if ds > grid.span():
+            assert all(len(w) == n - 1 for w in ctx.window)
+
+
 # -- served-cell extraction --------------------------------------------------------
 
 
@@ -312,6 +341,7 @@ def test_with_queue_totals_rebinds_snapshot(ctx37):
     assert score_bruteforce((0, 5, 9), ctx) == 0.0
     assert ctx.queue_bits == [0.0] * 37
     assert ctx.gain_cols is ctx37.gain_cols  # caches shared, not rebuilt
+    assert ctx.window is ctx37.window
 
 
 def test_score_pattern_dispatches_backend(grid37, budget37, params):
