@@ -203,16 +203,20 @@ def pattern_capacities(
     per-cell :func:`capacity` calls to floating-point noise.
     """
     caps = np.zeros(n_cells, dtype=float)
-    if len(pattern) == 0:
-        return caps
     served = np.array(sorted(int(c) for c in pattern), dtype=np.intp)
-    sub = budget.gain2[np.ix_(served, served)].copy()
-    own = np.diag(sub).copy()
-    np.fill_diagonal(sub, 0.0)
+    caps[served] = served_capacities(served, budget, params)
+    return caps
+
+
+def served_capacities(served: np.ndarray, budget: LinkBudget, params: LinkParams) -> np.ndarray:
+    """Capacities (bits/s) of the ascending, distinct cell ids ``served``;
+    interference sums the served block's columns in row order."""
+    sub = budget.gain2[served[:, None], served]  # a fresh C-ordered block
+    own = sub.diagonal().copy()
+    sub.flat[:: served.size + 1] = 0.0
     p = params.beam_power_w
     s = p * own / (budget.noise_power_w + p * sub.sum(axis=0))
-    caps[served] = params.bandwidth_hz * np.log2(1.0 + s)
-    return caps
+    return params.bandwidth_hz * np.log2(1.0 + s)
 
 
 def boresight_snr(budget: LinkBudget, params: LinkParams) -> float:

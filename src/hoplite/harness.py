@@ -31,7 +31,7 @@ from .baselines import (
     pattern_random,
 )
 from .cache import BhtpCache
-from .channel import LinkParams, build_link_budget, pattern_capacities
+from .channel import LinkParams, build_link_budget
 from .geometry import generate_grid
 from .mcts import MctsConfig, compute_pattern_mcts, compute_pattern_mcts_traced
 from .orchestrator import (
@@ -42,18 +42,8 @@ from .orchestrator import (
     plan_bhtp,
     simulate_bhtp,
 )
-from .scoring import (
-    make_score_context,
-    omega_max_for,
-    score_bruteforce,
-    score_sliding_window,
-)
-from .traffic import (
-    advance_slot,
-    generate_clustered_demand,
-    generate_demand,
-    make_queue_state,
-)
+from .scoring import score_bruteforce, score_sliding_window
+from .traffic import generate_clustered_demand, generate_demand, make_queue_state, replay
 
 # Columns whose values are wall-clock measurements; excluded from
 # reproducibility comparisons.
@@ -150,21 +140,6 @@ def _entropy(*parts) -> tuple:
     return tuple(int(p) for p in parts)
 
 
-def _score_context(cfg: ExperimentConfig, grid, params, budget, totals, ds_diameters: float):
-    beams = cfg.beams_for(grid.n_cells)
-    return make_score_context(
-        grid,
-        budget,
-        params,
-        totals,
-        slot_s=cfg.slot_s,
-        packet_bits=cfg.packet_bits,
-        ds_km=ds_diameters * grid.cell_diameter,
-        omega_max=omega_max_for(budget, params, beams, cfg.slot_s),
-        backend=cfg.backend,
-    )
-
-
 def _mcts_config(cfg: ExperimentConfig) -> MctsConfig:
     return MctsConfig(
         max_iterations=cfg.mcts_iterations,
@@ -214,27 +189,14 @@ def _simulate_run(alg, rates, grid, budget, params, cfg: ExperimentConfig, seed,
     beams = cfg.beams_for(n)
     level_key = round(level * 1000)
     state = make_queue_state(n, rates, ttl=cfg.ttl_slots, packet_bits=cfg.packet_bits)
-    ctx = _score_context(cfg, grid, params, budget, state.totals(), cfg.ds_diameters)
-    next_pattern = _pattern_fn(alg, n, beams, seed, level_key, ctx, cfg)
-    arrivals_rng = np.random.default_rng(_entropy(seed, level_key, 1))
-    served_bits = 0.0
-    dropped = 0
-    times = []
-    for slot in range(cfg.warmup_slots + cfg.horizon_slots):
-        totals = state.totals()
-        t0 = time.perf_counter()
-        pattern = next_pattern(totals, slot)
-        elapsed = time.perf_counter() - t0
-        caps = pattern_capacities(pattern, budget, params, n)
-        outcome = advance_slot(
-            state, pattern, caps, cfg.slot_s, rng=arrivals_rng, expected_beams=beams
-        )
-        state = outcome.queue_after
-        if slot < cfg.warmup_slots:
-            continue  # lead-in slot: evolve the queues, record nothing
-        times.append(elapsed)
-        served_bits += float(outcome.served_bits.sum())
-        dropped += int(outcome.dropped_packets.sum())
+    settings = _planner_settings(cfg, grid, cfg.ds_diameters)
+    ctx = settings.score_context(grid, budget, params, state.totals())
+    warmup = cfg.warmup_slots  # lead-in slots evolve the queues and record nothing
+    run = replay(
+        state, _pattern_fn(alg, n, beams, seed, level_key, ctx, cfg), warmup + cfg.horizon_slots,
+        budget, params, cfg.slot_s, rng=np.random.default_rng(_entropy(seed, level_key, 1)),
+        expected_beams=beams,
+    )
     return MetricsRecord(
         sweep="throughput",
         algorithm=alg,
@@ -242,10 +204,10 @@ def _simulate_run(alg, rates, grid, budget, params, cfg: ExperimentConfig, seed,
         beams=beams,
         demand_level=level,
         seed=seed,
-        served_bits=served_bits,
-        dropped_packets=dropped,
-        final_backlog=int(state.totals().sum()),
-        mean_pattern_time_s=statistics.fmean(times),
+        served_bits=run.served_total(warmup),
+        dropped_packets=sum(run.dropped_packets[warmup:]),
+        final_backlog=run.final_backlog,
+        mean_pattern_time_s=statistics.fmean(run.choose_s[warmup:]),
     )
 
 
@@ -271,10 +233,11 @@ def run_timing_table(cfg: ExperimentConfig, repeats: int = 10) -> list[dict]:
         grid, params, budget = make_system(rings, cfg.cell_diameter_km)
         n = grid.n_cells
         beams = cfg.beams_for(n)
-        c0 = default_c_max(budget, params, _planner_settings(cfg, grid, cfg.ds_diameters))
+        settings = _planner_settings(cfg, grid, cfg.ds_diameters)
+        c0 = default_c_max(budget, params, settings)
         rates = scaled_demand(grid, 1.0, beams, c0, cfg, cfg.seeds[0])
         totals = np.rint(rates)
-        ctx = _score_context(cfg, grid, params, budget, totals, cfg.ds_diameters)
+        ctx = settings.score_context(grid, budget, params, totals)
         for alg in cfg.algorithms:
             fn = _pattern_fn(alg, n, beams, cfg.seeds[0], 1000, ctx, cfg)
             times = []
@@ -310,13 +273,14 @@ def run_convergence_trace(cfg: ExperimentConfig) -> dict:
     grid, params, budget = make_system(cfg.rings, cfg.cell_diameter_km)
     n = grid.n_cells
     beams = cfg.beams_for(n)
-    c0 = default_c_max(budget, params, _planner_settings(cfg, grid, cfg.ds_diameters))
+    settings = _planner_settings(cfg, grid, cfg.ds_diameters)
+    c0 = default_c_max(budget, params, settings)
     base_cfg = _mcts_config(cfg)
     out = {"n_cells": n, "beams": beams, "seeds": list(cfg.seeds), "runs": []}
     for seed in cfg.seeds:
         rates = scaled_demand(grid, 1.0, beams, c0, cfg, seed)
         totals = np.rint(rates)
-        ctx = _score_context(cfg, grid, params, budget, totals, cfg.ds_diameters)
+        ctx = settings.score_context(grid, budget, params, totals)
         run = {"seed": seed}
         for label, pruned in (("unpruned", False), ("pruned", True)):
             mcfg = replace(
@@ -348,7 +312,8 @@ def run_scoring_bench(
         beams = cfg.beams_for(n)
         rng = np.random.default_rng(_entropy(rings, 99))
         totals = rng.integers(0, 20000, size=n).astype(float)
-        ctx = _score_context(cfg, grid, params, budget, totals, cfg.ds_diameters)
+        settings = _planner_settings(cfg, grid, cfg.ds_diameters)
+        ctx = settings.score_context(grid, budget, params, totals)
         patterns = [pattern_random(n, beams, rng) for _ in range(patterns_per_n)]
         scorers = (score_bruteforce, score_sliding_window)
         best = [math.inf] * len(scorers)
@@ -444,7 +409,10 @@ def run_ds_sweep(cfg: ExperimentConfig, patterns_per_ds: int = 30) -> list[dict]
     rng = np.random.default_rng(_entropy(505, n))
     totals = rng.integers(0, 20000, size=n).astype(float)
     patterns = [pattern_random(n, beams, rng) for _ in range(patterns_per_ds)]
-    contexts = [_score_context(cfg, grid, params, budget, totals, ds) for ds in cfg.ds_levels]
+    contexts = [
+        _planner_settings(cfg, grid, ds).score_context(grid, budget, params, totals)
+        for ds in cfg.ds_levels
+    ]
     best = [math.inf] * len(contexts)
     for _ in range(5):
         for i, ctx in enumerate(contexts):

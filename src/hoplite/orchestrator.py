@@ -14,7 +14,9 @@ later one a single line.
 
 Plans are built closed-loop: each slot's pattern is chosen against the queue
 state that results from serving the previous slots of the same plan, with
-arrivals taken as the rounded demand rates.
+arrivals taken as the rounded demand rates. Planning and plan replay both run
+on the fused replay kernel ``hoplite.traffic.replay``, which keeps the greedy
+answer to a miss at a few milliseconds for a 127-cell, 30-slot plan.
 """
 
 from __future__ import annotations
@@ -32,11 +34,11 @@ import numpy as np
 
 from .baselines import pattern_greedy
 from .cache import BhtpCache, DemandClass
-from .channel import LinkBudget, LinkParams, build_link_budget, pattern_capacities
+from .channel import LinkBudget, LinkParams, build_link_budget
 from .geometry import CellGrid
 from .mcts import MctsConfig, compute_pattern_mcts
 from .scoring import make_score_context, omega_max_for
-from .traffic import advance_slot, make_queue_state
+from .traffic import make_queue_state, replay
 
 logger = logging.getLogger(__name__)
 
@@ -59,6 +61,14 @@ class PlannerSettings:
     def __post_init__(self):
         if self.beams < 1 or self.horizon_slots < 1:
             raise ValueError("beams and horizon_slots must be >= 1")
+
+    def score_context(self, grid: CellGrid, budget: LinkBudget, params: LinkParams, totals):
+        """Scoring context for these settings, normalized by ``beams`` beams."""
+        return make_score_context(
+            grid, budget, params, totals, slot_s=self.slot_s, packet_bits=self.packet_bits,
+            ds_km=self.ds_km, omega_max=omega_max_for(budget, params, self.beams, self.slot_s),
+            backend=self.backend,
+        )
 
 
 @dataclass(frozen=True)
@@ -107,33 +117,20 @@ def plan_bhtp(
     state = make_queue_state(
         n, rates, ttl=settings.ttl_slots, packet_bits=settings.packet_bits
     )
-    ctx = None
-    if algorithm == "mcts":
+    beams = settings.beams
+    if algorithm == "greedy":
+        def choose(totals, slot):
+            return pattern_greedy(totals, beams)
+    else:
         if mcts_cfg is None:
             mcts_cfg = MctsConfig()
-        ctx = make_score_context(
-            grid,
-            budget,
-            params,
-            state.totals(),
-            slot_s=settings.slot_s,
-            packet_bits=settings.packet_bits,
-            ds_km=settings.ds_km,
-            omega_max=omega_max_for(budget, params, settings.beams, settings.slot_s),
-            backend=settings.backend,
-        )
-    plan = []
-    for slot in range(settings.horizon_slots):
-        totals = state.totals()
-        if algorithm == "greedy":
-            pattern = pattern_greedy(totals, settings.beams)
-        else:
+        ctx = settings.score_context(grid, budget, params, state.totals())
+
+        def choose(totals, slot):
             cfg = replace(mcts_cfg, rng_seed=_slot_seed(mcts_cfg.rng_seed, slot))
-            pattern = compute_pattern_mcts(ctx, totals, settings.beams, cfg)
-        plan.append(tuple(pattern))
-        caps = pattern_capacities(pattern, budget, params, n)
-        state = advance_slot(state, pattern, caps, settings.slot_s, rng=None).queue_after
-    return tuple(plan)
+            return compute_pattern_mcts(ctx, totals, beams, cfg)
+
+    return replay(state, choose, settings.horizon_slots, budget, params, settings.slot_s).plan
 
 
 def simulate_bhtp(
@@ -145,27 +142,22 @@ def simulate_bhtp(
     settings: PlannerSettings,
     rng: np.random.Generator | None = None,
 ) -> dict:
-    """Replay a fixed plan against the queue model; totals for scoring runs."""
-    rates = np.asarray(arrival_rates, dtype=float)
+    """Replay a fixed plan against the queue model; totals for scoring runs.
+
+    Every row must hold ``settings.beams`` distinct in-range cells, else
+    ValueError.
+    """
     state = make_queue_state(
-        grid.n_cells, rates, ttl=settings.ttl_slots, packet_bits=settings.packet_bits
+        grid.n_cells, arrival_rates, ttl=settings.ttl_slots, packet_bits=settings.packet_bits
     )
-    served_bits = 0.0
-    dropped = 0
-    per_slot_bits = []
-    for pattern in bhtp:
-        caps = pattern_capacities(pattern, budget, params, grid.n_cells)
-        outcome = advance_slot(state, pattern, caps, settings.slot_s, rng=rng)
-        slot_bits = float(outcome.served_bits.sum())
-        served_bits += slot_bits
-        dropped += int(outcome.dropped_packets.sum())
-        per_slot_bits.append(slot_bits)
-        state = outcome.queue_after
+    rows = tuple(bhtp)
+    run = replay(state, lambda totals, slot: rows[slot], len(rows), budget, params,
+                 settings.slot_s, rng=rng, expected_beams=settings.beams)
     return {
-        "served_bits": served_bits,
-        "dropped_packets": dropped,
-        "per_slot_bits": per_slot_bits,
-        "final_backlog": int(state.totals().sum()),
+        "served_bits": run.served_total(),
+        "dropped_packets": sum(run.dropped_packets),
+        "per_slot_bits": run.served_bits,
+        "final_backlog": run.final_backlog,
     }
 
 

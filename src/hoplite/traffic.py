@@ -9,13 +9,20 @@ one. The resulting per-cell identity
 
 holds exactly, extending the plain inflow/outflow balance with an explicit
 drop term so TTL expiries are never silently folded into service.
+
+``advance_slot`` is the validated one-slot step; ``replay`` is the fused
+closed-loop kernel that plans, plan replays and throughput sweeps run on.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
+
+from .channel import LinkBudget, LinkParams, served_capacities
 
 DEFAULT_PACKET_BITS = 1500 * 8.0
 DEFAULT_TTL_SLOTS = 20
@@ -95,6 +102,19 @@ def throughput_for_cell(
     return min(capacity_bps * slot_s, queue_packets * packet_bits)
 
 
+def checked_cells(pattern, n_cells: int, expected_beams: int | None = None) -> np.ndarray:
+    """The pattern's cell ids, ascending; ValueError on a duplicate or
+    out-of-range id, or on a count other than ``expected_beams`` when given."""
+    served = np.array(sorted(int(c) for c in pattern), dtype=np.intp)
+    if (served[1:] == served[:-1]).any():
+        raise ValueError("pattern has duplicate cells")
+    if served.size and not (0 <= served[0] and served[-1] < n_cells):
+        raise ValueError(f"pattern {tuple(pattern)} has a cell id outside [0, {n_cells})")
+    if expected_beams is not None and served.size != expected_beams:
+        raise ValueError(f"pattern has {served.size} cells, expected {expected_beams}")
+    return served
+
+
 def advance_slot(
     state: QueueState,
     pattern,
@@ -110,16 +130,7 @@ def advance_slot(
     packets already at the TTL are dropped, and arrivals enter at age one —
     Poisson draws when an rng is given, otherwise the rounded rates.
     """
-    pattern = [int(c) for c in pattern]
-    if len(set(pattern)) != len(pattern):
-        raise ValueError("pattern has duplicate cells")
-    for c in pattern:
-        if not 0 <= c < state.n_cells:
-            raise ValueError(f"cell id {c} out of range")
-    if expected_beams is not None and len(pattern) != expected_beams:
-        raise ValueError(
-            f"pattern has {len(pattern)} cells, expected {expected_beams}"
-        )
+    pattern = checked_cells(pattern, state.n_cells, expected_beams)
     capacities = np.asarray(capacities, dtype=float)
     if capacities.shape != (state.n_cells,):
         raise ValueError("capacities must be a per-cell vector")
@@ -159,6 +170,61 @@ def advance_slot(
         arrivals=arrivals,
         queue_after=new_state,
     )
+
+
+class Replay(NamedTuple):
+    """A closed-loop replay, slot by slot."""
+
+    plan: tuple  # each slot's pattern, as the chooser returned it
+    served_bits: list  # float bits served per slot
+    dropped_packets: list  # packets dropped per slot
+    choose_s: list  # seconds spent choosing each slot's pattern
+    final_backlog: int
+
+    def served_total(self, start: int = 0) -> float:
+        """Bits served from slot ``start`` on, added in slot order."""
+        total = 0.0
+        for bits in self.served_bits[start:]:
+            total += bits
+        return total
+
+
+def replay(
+    state: QueueState, choose, slots: int, budget: LinkBudget, params: LinkParams,
+    slot_s: float, rng: np.random.Generator | None = None, expected_beams: int | None = None,
+) -> Replay:
+    """Run ``slots`` slots closed-loop from ``state``: ``choose(totals, slot)``
+    picks each slot's pattern against the per-cell backlog left so far.
+
+    Each slot equals :func:`hoplite.channel.pattern_capacities` then
+    :func:`advance_slot` bit for bit, arrivals included (the same rng call
+    when an rng is given), on one age-bucket array updated in place.
+    Patterns are checked as :func:`checked_cells` does.
+    """
+    n, buckets, rates = state.n_cells, state.age_buckets.copy(), state.arrival_rate
+    packet_bits = state.packet_bits
+    fixed_arrivals = np.rint(rates).astype(np.int64) if rng is None else None
+    bits = np.zeros(n)
+    plan, served_bits, dropped_packets, choose_s = [], [], [], []
+    for slot in range(slots):
+        totals = buckets.sum(axis=1)
+        t0 = time.perf_counter()
+        pattern = choose(totals, slot)
+        choose_s.append(time.perf_counter() - t0)
+        served = checked_cells(pattern, n, expected_beams)
+        plan.append(tuple(pattern))
+        oldest_first = buckets[served, ::-1]
+        csum = np.cumsum(oldest_first, axis=1)  # its last column is the served backlog
+        caps = served_capacities(served, budget, params)
+        take = np.minimum(np.floor(caps * slot_s / packet_bits).astype(np.int64), csum[:, -1])
+        buckets[served] = np.minimum(oldest_first, np.maximum(0, csum - take[:, None]))[:, ::-1]
+        bits[:] = 0.0
+        bits[served] = take.astype(float) * packet_bits
+        served_bits.append(float(bits.sum()))
+        dropped_packets.append(int(buckets[:, -1].sum()))
+        buckets[:, 1:] = buckets[:, :-1]
+        buckets[:, 0] = fixed_arrivals if rng is None else rng.poisson(rates)
+    return Replay(tuple(plan), served_bits, dropped_packets, choose_s, int(buckets.sum()))
 
 
 def generate_demand(

@@ -80,6 +80,32 @@ def test_greedy_one_hot_and_ties():
     assert pattern_greedy(np.full(37, 7.0), 9) == tuple(range(9))
 
 
+def test_greedy_ties_go_to_the_lower_id():
+    totals = np.array([5, 9, 5, 9, 5, 1, 9])
+    assert pattern_greedy(totals, 2) == (1, 3)
+    assert pattern_greedy(totals, 4) == (0, 1, 3, 6)
+    assert pattern_greedy(totals, 5) == (0, 1, 2, 3, 6)
+
+
+def test_greedy_float_and_list_input_match_sort_oracle():
+    rng = np.random.default_rng(8)
+    for _ in range(50):
+        totals = np.round(rng.uniform(0, 50, 37), 1)  # rounding makes ties
+        oracle = sorted(sorted(range(37), key=lambda i: (-totals[i], i))[:9])
+        assert pattern_greedy(totals, 9) == tuple(oracle)
+        assert pattern_greedy(totals.tolist(), 9) == tuple(oracle)
+    got = pattern_greedy([0.5, 2.25, 2.25, 1.0], 2)
+    assert got == (1, 2) and all(type(c) is int for c in got)
+    assert pattern_greedy(np.array([0, 3, 2], dtype=np.uint8), 1) == (1,)  # no wrap-around
+
+
+def test_greedy_rejects_more_beams_than_cells():
+    with pytest.raises(ValueError):
+        pattern_greedy([1, 2, 3], 4)
+    with pytest.raises(ValueError):
+        pattern_greedy(np.zeros(37), 38)
+
+
 def test_greedy_fast_at_127():
     rng = np.random.default_rng(3)
     totals = rng.integers(0, 100_000, 127)
