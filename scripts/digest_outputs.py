@@ -15,7 +15,7 @@ Sections:
                backend (timing columns stripped);
   search       pattern and rollout-score list of 60 seeded MCTS searches,
                above and below the root candidate count, plain and pruned;
-  planner.*    sync-mode and thread-mode planners fed a fixed request
+  planner.*    sync-, thread- and process-mode planners fed a fixed request
                sequence (repeats, new classes, two horizons), drained after
                each request: every answer's source and plan, and the counters.
 
@@ -167,7 +167,7 @@ def planner_requests(out: dict):
     # first misses and then replaces the stored plan of its class.
     sequence = [(0, None), (0, None), (1, None), (0, 3), (0, 3), (2, None), (1, None),
                 (3, 3), (3, 3), (3, None), (0, None), (2, 3), (2, None), (1, 3)]
-    for mode in ("sync", "thread"):
+    for mode in ("sync", "thread", "process"):
         planner = HybridPlanner(grid, PARAMS, settings, mode=mode, beta=4,
                                 mcts_cfg=MctsConfig(max_iterations=20, rng_seed=0))
         answers = []

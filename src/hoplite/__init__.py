@@ -11,6 +11,7 @@ from .orchestrator import (
     PlanRequest,
     PlanResponse,
     PlannerSettings,
+    System,
     plan_bhtp,
     simulate_bhtp,
 )
@@ -40,6 +41,7 @@ __all__ = [
     "PlannerSettings",
     "QueueState",
     "ScoreContext",
+    "System",
     "advance_slot",
     "build_link_budget",
     "capacity",

@@ -19,7 +19,7 @@ from .channel import LinkParams
 from .geometry import generate_grid
 from .harness import ExperimentConfig, load_config, run_all, run_scoring_bench, write_json
 from .mcts import MctsConfig
-from .orchestrator import HybridPlanner, PlanRequest, PlannerSettings, simulate_bhtp
+from .orchestrator import HybridPlanner, PlanRequest, PlannerSettings
 
 
 def _cmd_run(args) -> int:
@@ -69,9 +69,7 @@ def _cmd_serve_trace(args) -> int:
         for i, vec in enumerate(vectors):
             demand = np.asarray(vec, dtype=float)
             response = planner.handle_request(PlanRequest(demand, request_id=i))
-            sim = simulate_bhtp(
-                response.bhtp, demand, grid, planner.budget, planner.params, settings
-            )
+            sim = planner.system.simulate(response.bhtp, demand)
             line = {
                 "request": i,
                 "source": response.source,

@@ -30,20 +30,12 @@ from .baselines import (
     pattern_periodic,
     pattern_random,
 )
-from .cache import BhtpCache
-from .channel import LinkParams, build_link_budget
+from .channel import LinkParams
 from .geometry import generate_grid
 from .mcts import MctsConfig, compute_pattern_mcts, compute_pattern_mcts_traced
-from .orchestrator import (
-    HybridPlanner,
-    PlanRequest,
-    PlannerSettings,
-    default_c_max,
-    plan_bhtp,
-    simulate_bhtp,
-)
+from .orchestrator import HybridPlanner, PlannerSettings, PlanRequest, System
 from .scoring import score_bruteforce, score_sliding_window
-from .traffic import generate_clustered_demand, generate_demand, make_queue_state, replay
+from .traffic import generate_clustered_demand, generate_demand
 
 # Columns whose values are wall-clock measurements; excluded from
 # reproducibility comparisons.
@@ -115,11 +107,16 @@ class MetricsRecord:
     mean_pattern_time_s: float
 
 
-def make_system(rings: int, cell_diameter_km: float = 942.0):
-    grid = generate_grid(rings, cell_diameter_km)
-    params = LinkParams()
-    budget = build_link_budget(grid, params)
-    return grid, params, budget
+def build_system(cfg: ExperimentConfig, rings: int | None = None) -> System:
+    """The system a sweep plans for: cfg's settings on a grid of ``rings``
+    rings (None -> cfg.rings)."""
+    grid = generate_grid(cfg.rings if rings is None else rings, cfg.cell_diameter_km)
+    settings = PlannerSettings(
+        beams=cfg.beams_for(grid.n_cells), horizon_slots=cfg.horizon_slots, slot_s=cfg.slot_s,
+        packet_bits=cfg.packet_bits, ttl_slots=cfg.ttl_slots,
+        ds_km=cfg.ds_diameters * grid.cell_diameter, backend=cfg.backend,
+    )
+    return System(grid, LinkParams(), settings)
 
 
 def scaled_demand(grid, level: float, beams: int, c0_packets: float, cfg: ExperimentConfig, seed: int):
@@ -149,19 +146,9 @@ def _mcts_config(cfg: ExperimentConfig) -> MctsConfig:
     )
 
 
-def _planner_settings(cfg: ExperimentConfig, grid, ds_diameters: float) -> PlannerSettings:
-    return PlannerSettings(
-        beams=cfg.beams_for(grid.n_cells),
-        horizon_slots=cfg.horizon_slots,
-        slot_s=cfg.slot_s,
-        packet_bits=cfg.packet_bits,
-        ttl_slots=cfg.ttl_slots,
-        ds_km=ds_diameters * grid.cell_diameter,
-        backend=cfg.backend,
-    )
-
-
-def _pattern_fn(alg: str, n: int, beams: int, seed: int, level_key: int, ctx, cfg: ExperimentConfig):
+def _pattern_fn(alg: str, system: System, seed: int, level_key: int, cfg: ExperimentConfig):
+    """The slot chooser of ``alg``; only the searches build score contexts."""
+    n, beams = system.grid.n_cells, system.settings.beams
     if alg == "periodic":
         return lambda totals, slot: pattern_periodic(n, beams, slot)
     if alg == "random":
@@ -172,35 +159,31 @@ def _pattern_fn(alg: str, n: int, beams: int, seed: int, level_key: int, ctx, cf
     if alg == "mcts":
         base = _mcts_config(cfg)
         return lambda totals, slot: compute_pattern_mcts(
-            ctx, totals, beams, replace(base, rng_seed=_entropy(seed, level_key, slot))
+            system.score_context(totals), totals, beams,
+            replace(base, rng_seed=_entropy(seed, level_key, slot))
         )
     if alg == "ga":
         base = GaConfig(
             population_size=cfg.ga_population, generations=cfg.ga_generations
         )
         return lambda totals, slot: pattern_ga(
-            ctx, totals, beams, replace(base, rng_seed=_entropy(seed, level_key, slot))
+            system.score_context(totals), totals, beams,
+            replace(base, rng_seed=_entropy(seed, level_key, slot))
         )
     raise ValueError(f"unknown algorithm {alg!r}")
 
 
-def _simulate_run(alg, rates, grid, budget, params, cfg: ExperimentConfig, seed, level) -> MetricsRecord:
-    n = grid.n_cells
-    beams = cfg.beams_for(n)
+def _simulate_run(alg, rates, system: System, cfg: ExperimentConfig, seed, level) -> MetricsRecord:
+    beams = system.settings.beams
     level_key = round(level * 1000)
-    state = make_queue_state(n, rates, ttl=cfg.ttl_slots, packet_bits=cfg.packet_bits)
-    settings = _planner_settings(cfg, grid, cfg.ds_diameters)
-    ctx = settings.score_context(grid, budget, params, state.totals())
     warmup = cfg.warmup_slots  # lead-in slots evolve the queues and record nothing
-    run = replay(
-        state, _pattern_fn(alg, n, beams, seed, level_key, ctx, cfg), warmup + cfg.horizon_slots,
-        budget, params, cfg.slot_s, rng=np.random.default_rng(_entropy(seed, level_key, 1)),
-        expected_beams=beams,
-    )
+    rng = np.random.default_rng(_entropy(seed, level_key, 1))
+    run = system.run(rates, _pattern_fn(alg, system, seed, level_key, cfg),
+                     warmup + cfg.horizon_slots, rng)
     return MetricsRecord(
         sweep="throughput",
         algorithm=alg,
-        n_cells=n,
+        n_cells=system.grid.n_cells,
         beams=beams,
         demand_level=level,
         seed=seed,
@@ -212,17 +195,14 @@ def _simulate_run(alg, rates, grid, budget, params, cfg: ExperimentConfig, seed,
 
 
 def run_throughput_sweep(cfg: ExperimentConfig) -> list[MetricsRecord]:
-    grid, params, budget = make_system(cfg.rings, cfg.cell_diameter_km)
-    beams = cfg.beams_for(grid.n_cells)
-    c0 = default_c_max(budget, params, _planner_settings(cfg, grid, cfg.ds_diameters))
+    system = build_system(cfg)
+    beams, c0 = system.settings.beams, system.c_max
     records = []
     for level in cfg.demand_levels:
         for seed in cfg.seeds:
-            rates = scaled_demand(grid, level, beams, c0, cfg, seed)
+            rates = scaled_demand(system.grid, level, beams, c0, cfg, seed)
             for alg in cfg.algorithms:
-                records.append(
-                    _simulate_run(alg, rates, grid, budget, params, cfg, seed, level)
-                )
+                records.append(_simulate_run(alg, rates, system, cfg, seed, level))
     return records
 
 
@@ -230,16 +210,11 @@ def run_timing_table(cfg: ExperimentConfig, repeats: int = 10) -> list[dict]:
     """Mean/stdev wall time per emitted pattern, per algorithm and grid size."""
     rows = []
     for rings in cfg.bench_rings:
-        grid, params, budget = make_system(rings, cfg.cell_diameter_km)
-        n = grid.n_cells
-        beams = cfg.beams_for(n)
-        settings = _planner_settings(cfg, grid, cfg.ds_diameters)
-        c0 = default_c_max(budget, params, settings)
-        rates = scaled_demand(grid, 1.0, beams, c0, cfg, cfg.seeds[0])
-        totals = np.rint(rates)
-        ctx = settings.score_context(grid, budget, params, totals)
+        system = build_system(cfg, rings)
+        n, beams = system.grid.n_cells, system.settings.beams
+        totals = np.rint(scaled_demand(system.grid, 1.0, beams, system.c_max, cfg, cfg.seeds[0]))
         for alg in cfg.algorithms:
-            fn = _pattern_fn(alg, n, beams, cfg.seeds[0], 1000, ctx, cfg)
+            fn = _pattern_fn(alg, system, cfg.seeds[0], 1000, cfg)
             times = []
             for rep in range(repeats):
                 t0 = time.perf_counter()
@@ -270,17 +245,13 @@ def convergence_iterations(best_so_far: list[float], fraction: float = 0.99) -> 
 
 def run_convergence_trace(cfg: ExperimentConfig) -> dict:
     """Paired pruned/unpruned search traces on one demand snapshot per seed."""
-    grid, params, budget = make_system(cfg.rings, cfg.cell_diameter_km)
-    n = grid.n_cells
-    beams = cfg.beams_for(n)
-    settings = _planner_settings(cfg, grid, cfg.ds_diameters)
-    c0 = default_c_max(budget, params, settings)
+    system = build_system(cfg)
+    beams = system.settings.beams
     base_cfg = _mcts_config(cfg)
-    out = {"n_cells": n, "beams": beams, "seeds": list(cfg.seeds), "runs": []}
+    out = {"n_cells": system.grid.n_cells, "beams": beams, "seeds": list(cfg.seeds), "runs": []}
     for seed in cfg.seeds:
-        rates = scaled_demand(grid, 1.0, beams, c0, cfg, seed)
-        totals = np.rint(rates)
-        ctx = settings.score_context(grid, budget, params, totals)
+        totals = np.rint(scaled_demand(system.grid, 1.0, beams, system.c_max, cfg, seed))
+        ctx = system.score_context(totals)
         run = {"seed": seed}
         for label, pruned in (("unpruned", False), ("pruned", True)):
             mcfg = replace(
@@ -307,13 +278,11 @@ def run_scoring_bench(
     """
     rows = []
     for rings in cfg.bench_rings:
-        grid, params, budget = make_system(rings, cfg.cell_diameter_km)
-        n = grid.n_cells
-        beams = cfg.beams_for(n)
+        system = build_system(cfg, rings)
+        n, beams = system.grid.n_cells, system.settings.beams
         rng = np.random.default_rng(_entropy(rings, 99))
         totals = rng.integers(0, 20000, size=n).astype(float)
-        settings = _planner_settings(cfg, grid, cfg.ds_diameters)
-        ctx = settings.score_context(grid, budget, params, totals)
+        ctx = system.score_context(totals)
         patterns = [pattern_random(n, beams, rng) for _ in range(patterns_per_n)]
         scorers = (score_bruteforce, score_sliding_window)
         best = [math.inf] * len(scorers)
@@ -344,37 +313,18 @@ def run_beta_sweep(cfg: ExperimentConfig) -> list[dict]:
     which is then replayed against the true (undiscretized) demand. A
     reference row plans directly from the raw demand.
     """
-    grid, params, budget = make_system(cfg.rings, cfg.cell_diameter_km)
-    n = grid.n_cells
-    beams = cfg.beams_for(n)
-    settings = _planner_settings(cfg, grid, cfg.ds_diameters)
-    c0 = default_c_max(budget, params, settings)
+    system = build_system(cfg)
+    grid, settings = system.grid, system.settings
     mcts_cfg = _mcts_config(cfg)
     rows = []
     for seed in cfg.seeds:
-        rates = scaled_demand(grid, 1.0, beams, c0, cfg, seed)
-        reference = plan_bhtp(
-            rates,
-            grid,
-            budget,
-            params,
-            settings,
-            "mcts",
-            replace(mcts_cfg, rng_seed=_entropy(seed)),
-        )
-        ref_sim = simulate_bhtp(reference, rates, grid, budget, params, settings)
-        rows.append(
-            {
-                "seed": seed,
-                "beta": None,
-                "served_bits": ref_sim["served_bits"],
-                "dropped_packets": ref_sim["dropped_packets"],
-            }
-        )
+        rates = scaled_demand(grid, 1.0, settings.beams, system.c_max, cfg, seed)
+        reference = system.plan(rates, "mcts", replace(mcts_cfg, rng_seed=_entropy(seed)))
+        plans = [(None, reference)]
         for beta in cfg.beta_levels:
             planner = HybridPlanner(
                 grid,
-                params,
+                system.params,
                 settings,
                 mcts_cfg=replace(mcts_cfg, rng_seed=_entropy(seed)),
                 mode="sync",
@@ -385,7 +335,9 @@ def run_beta_sweep(cfg: ExperimentConfig) -> list[dict]:
             second = planner.handle_request(PlanRequest(rates))
             if second.source != "cache":
                 raise RuntimeError("sync fill did not populate the cache")
-            sim = simulate_bhtp(second.bhtp, rates, grid, budget, params, settings)
+            plans.append((beta, second.bhtp))
+        for beta, bhtp in plans:
+            sim = system.simulate(bhtp, rates)
             rows.append(
                 {
                     "seed": seed,
@@ -403,16 +355,19 @@ def run_ds_sweep(cfg: ExperimentConfig, patterns_per_ds: int = 30) -> list[dict]
     The timing repeats cycle through all window sizes and keep each size's
     fastest pass, so a change in host speed lands on every size alike.
     """
-    grid, params, budget = make_system(cfg.rings, cfg.cell_diameter_km)
-    n = grid.n_cells
-    beams = cfg.beams_for(n)
+    system = build_system(cfg)
+    grid = system.grid
+    n, beams = grid.n_cells, system.settings.beams
     rng = np.random.default_rng(_entropy(505, n))
     totals = rng.integers(0, 20000, size=n).astype(float)
     patterns = [pattern_random(n, beams, rng) for _ in range(patterns_per_ds)]
-    contexts = [
-        _planner_settings(cfg, grid, ds).score_context(grid, budget, params, totals)
+    # One system per Ds; plans use the sliding scorer, the one Ds acts on.
+    systems = [
+        replace(system, settings=replace(
+            system.settings, ds_km=ds * grid.cell_diameter, backend="sliding"))
         for ds in cfg.ds_levels
     ]
+    contexts = [s.score_context(totals) for s in systems]
     best = [math.inf] * len(contexts)
     for _ in range(5):
         for i, ctx in enumerate(contexts):
@@ -420,18 +375,13 @@ def run_ds_sweep(cfg: ExperimentConfig, patterns_per_ds: int = 30) -> list[dict]
             for p in patterns:
                 score_sliding_window(p, ctx, beams)
             best[i] = min(best[i], time.perf_counter() - t0)
-    # Plans use the sliding scorer, the one Ds acts on, and unpruned search.
-    mcts_cfg = replace(_mcts_config(cfg), pruning_enabled=False)
+    mcts_cfg = replace(_mcts_config(cfg), pruning_enabled=False)  # unpruned search
     rows = []
-    for ds, seconds in zip(cfg.ds_levels, best):
-        settings = replace(_planner_settings(cfg, grid, ds), backend="sliding")
-        c0 = default_c_max(budget, params, settings)
-        rates = scaled_demand(grid, 1.0, beams, c0, cfg, cfg.seeds[0])
-        bhtp = plan_bhtp(
-            rates, grid, budget, params, settings, "mcts",
-            replace(mcts_cfg, rng_seed=_entropy(cfg.seeds[0], round(ds * 10))),
-        )
-        sim = simulate_bhtp(bhtp, rates, grid, budget, params, settings)
+    for ds, seconds, s in zip(cfg.ds_levels, best, systems):
+        rates = scaled_demand(grid, 1.0, beams, s.c_max, cfg, cfg.seeds[0])
+        seed = _entropy(cfg.seeds[0], round(ds * 10))
+        bhtp = s.plan(rates, "mcts", replace(mcts_cfg, rng_seed=seed))
+        sim = s.simulate(bhtp, rates)
         rows.append(
             {
                 "ds_diameters": ds,

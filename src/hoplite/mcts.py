@@ -63,8 +63,6 @@ class SearchNode:
         "child_sums",
         "visit_count",
         "score_sum",
-        "own_visits",
-        "own_score_sum",
     )
 
     def __init__(self, prefix: tuple, remaining: list[int], slot: int = -1):
@@ -81,10 +79,6 @@ class SearchNode:
         self.child_visits = self.child_sums = None
         self.visit_count = 0
         self.score_sum = 0.0
-        # Rollouts launched from this exact node (leaf bookkeeping), kept
-        # separate so subtree sums can be audited after the fact.
-        self.own_visits = 0
-        self.own_score_sum = 0.0
 
     def expand(self, candidates: list[int]):
         """Record the sorted candidate actions and zero their child stats."""
@@ -124,32 +118,15 @@ class MctsTrace:
         return out
 
 
-def selection_value(
-    cell: int, selected, queue_totals, grid: CellGrid, d_max: float | None = None
-) -> float:
-    """Pruning heuristic: backlog share plus normalized spread from chosen cells.
+def selection_values(
+    candidates, selected, queue_totals, grid: CellGrid
+) -> np.ndarray:
+    """Pruning heuristic per candidate cell: backlog share plus normalized
+    spread from the chosen cells.
 
     Both terms are scaled into [0, 1]: backlog by the current maximum queue
     total, the distance sum by (grid span x number chosen).
     """
-    selected = list(selected)
-    if cell in selected:
-        raise ValueError(f"cell {cell} already selected")
-    totals = np.asarray(queue_totals, dtype=float)
-    if d_max is None:
-        d_max = float(totals.max()) if totals.size else 0.0
-    demand_term = float(totals[cell]) / d_max if d_max > 0 else 0.0
-    if not selected:
-        return demand_term
-    dist_max = grid.span() * len(selected)
-    dist_sum = sum(grid.distance(cell, j) for j in selected)
-    return demand_term + (dist_sum / dist_max if dist_max > 0 else 0.0)
-
-
-def selection_values(
-    candidates, selected, queue_totals, grid: CellGrid
-) -> np.ndarray:
-    """Vectorized selection_value over many candidate cells."""
     cand = np.asarray(list(candidates), dtype=int)
     totals = np.asarray(queue_totals, dtype=float)
     d_max = float(totals.max()) if totals.size else 0.0
@@ -171,10 +148,9 @@ def pruned_actions(
     Returned in descending value order; with enough width this is just all
     candidates reordered.
     """
-    cand = sorted(candidates)
+    cand = np.asarray(list(candidates), dtype=int)
     mu = selection_values(cand, selected, queue_totals, grid)
-    order = sorted(range(len(cand)), key=lambda i: (-mu[i], cand[i]))
-    return [cand[i] for i in order[:prune_width]]
+    return cand[np.lexsort((cand, -mu))[:prune_width]].tolist()
 
 
 def uct_select(node: SearchNode, c: float) -> int:
@@ -216,9 +192,6 @@ def simulate(node: SearchNode, ctx: ScoreContext, beams: int, rng) -> float:
 
 def backup(path: list[SearchNode], score: float):
     """Add one rollout's score along the root-to-leaf ``path``."""
-    leaf = path[-1]
-    leaf.own_visits += 1
-    leaf.own_score_sum += score
     parent = None
     for node in path:
         node.visit_count += 1

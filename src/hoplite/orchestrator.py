@@ -12,6 +12,8 @@ request that queued it has its greedy answer all the same. A pool whose
 worker died stays broken: its first failed submit logs a traceback, each
 later one a single line.
 
+Both planners plan for one :class:`System`: the cell grid, its link
+parameters and budget, and the planner settings, built once and passed whole.
 Plans are built closed-loop: each slot's pattern is chosen against the queue
 state that results from serving the previous slots of the same plan, with
 arrivals taken as the rounded demand rates. Planning and plan replay both run
@@ -27,7 +29,7 @@ import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -37,8 +39,8 @@ from .cache import BhtpCache, DemandClass
 from .channel import LinkBudget, LinkParams, build_link_budget
 from .geometry import CellGrid
 from .mcts import MctsConfig, compute_pattern_mcts
-from .scoring import make_score_context, omega_max_for
-from .traffic import make_queue_state, replay
+from .scoring import ScoreContext, make_score_context, omega_max_for, with_queue_totals
+from .traffic import Replay, make_queue_state, replay
 
 logger = logging.getLogger(__name__)
 
@@ -61,14 +63,6 @@ class PlannerSettings:
     def __post_init__(self):
         if self.beams < 1 or self.horizon_slots < 1:
             raise ValueError("beams and horizon_slots must be >= 1")
-
-    def score_context(self, grid: CellGrid, budget: LinkBudget, params: LinkParams, totals):
-        """Scoring context for these settings, normalized by ``beams`` beams."""
-        return make_score_context(
-            grid, budget, params, totals, slot_s=self.slot_s, packet_bits=self.packet_bits,
-            ds_km=self.ds_km, omega_max=omega_max_for(budget, params, self.beams, self.slot_s),
-            backend=self.backend,
-        )
 
 
 @dataclass(frozen=True)
@@ -98,6 +92,92 @@ def _slot_seed(base, slot: int) -> tuple:
     return (int(base), slot)
 
 
+@dataclass(frozen=True, eq=False)
+class System:
+    """The satellite system both planners plan for: one cell grid, its link
+    parameters and budget, and the planner settings.
+
+    The link budget (an N x N Bessel evaluation) is built here unless one is
+    passed in; the scorer's static tables (gain columns, windows, x-ranks)
+    are built on the first :meth:`score_context` call and then shared.
+    """
+
+    grid: CellGrid
+    params: LinkParams
+    settings: PlannerSettings
+    budget: LinkBudget | None = None  # None -> built from grid and params
+
+    def __post_init__(self):
+        if self.budget is None:
+            object.__setattr__(self, "budget", build_link_budget(self.grid, self.params))
+        elif self.budget.gain2.shape != (self.grid.n_cells,) * 2:
+            raise ValueError(f"link budget of shape {self.budget.gain2.shape} does not fit the grid")
+
+    @property
+    def c_max(self) -> float:
+        return default_c_max(self.budget, self.params, self.settings)
+
+    @cached_property
+    def _tables(self) -> ScoreContext:
+        """A context on zero backlog, normalized by the best case of ``beams`` beams."""
+        s = self.settings
+        return make_score_context(
+            self.grid, self.budget, self.params, np.zeros(self.grid.n_cells), slot_s=s.slot_s,
+            packet_bits=s.packet_bits, ds_km=s.ds_km, backend=s.backend,
+            omega_max=omega_max_for(self.budget, self.params, s.beams, s.slot_s),
+        )
+
+    def score_context(self, totals) -> ScoreContext:
+        """Scoring context for backlog ``totals``, on tables built once."""
+        return with_queue_totals(self._tables, totals)
+
+    def run(self, arrival_rates, choose, slots: int, rng=None) -> Replay:
+        """``slots`` slots of the replay kernel from empty queues fed
+        ``arrival_rates``; every pattern ``choose`` picks must hold ``beams``
+        distinct in-range cells, else ValueError."""
+        s = self.settings
+        state = make_queue_state(
+            self.grid.n_cells, arrival_rates, ttl=s.ttl_slots, packet_bits=s.packet_bits
+        )
+        return replay(state, choose, slots, self.budget, self.params, s.slot_s, rng=rng,
+                      expected_beams=s.beams)
+
+    def plan(self, arrival_rates, algorithm="greedy", mcts_cfg=None, horizon=None) -> tuple:
+        """Closed-loop plan for one demand vector over ``horizon`` slots
+        (None -> the settings' horizon)."""
+        if algorithm not in PLAN_ALGORITHMS:
+            raise ValueError(f"unknown planning algorithm {algorithm!r}")
+        rates = np.asarray(arrival_rates, dtype=float)
+        if rates.shape != (self.grid.n_cells,):
+            raise ValueError("demand vector length must match the grid")
+        beams = self.settings.beams
+        if algorithm == "greedy":
+            def choose(totals, slot):
+                return pattern_greedy(totals, beams)
+        else:
+            base = mcts_cfg if mcts_cfg is not None else MctsConfig()
+
+            def choose(totals, slot):
+                cfg = replace(base, rng_seed=_slot_seed(base.rng_seed, slot))
+                return compute_pattern_mcts(self.score_context(totals), totals, beams, cfg)
+
+        slots = self.settings.horizon_slots if horizon is None else horizon
+        return self.run(rates, choose, slots).plan
+
+    def simulate(self, bhtp, arrival_rates, rng: np.random.Generator | None = None) -> dict:
+        """Replay a fixed plan against the queue model; totals for scoring runs.
+
+        Rows are checked as :meth:`run` checks patterns."""
+        rows = tuple(bhtp)
+        run = self.run(arrival_rates, lambda totals, slot: rows[slot], len(rows), rng)
+        return {
+            "served_bits": run.served_total(),
+            "dropped_packets": sum(run.dropped_packets),
+            "per_slot_bits": run.served_bits,
+            "final_backlog": run.final_backlog,
+        }
+
+
 def plan_bhtp(
     arrival_rates,
     grid: CellGrid,
@@ -108,29 +188,7 @@ def plan_bhtp(
     mcts_cfg: MctsConfig | None = None,
 ) -> tuple:
     """Closed-loop transmission plan over the horizon for one demand vector."""
-    if algorithm not in PLAN_ALGORITHMS:
-        raise ValueError(f"unknown planning algorithm {algorithm!r}")
-    rates = np.asarray(arrival_rates, dtype=float)
-    n = grid.n_cells
-    if rates.shape != (n,):
-        raise ValueError("demand vector length must match the grid")
-    state = make_queue_state(
-        n, rates, ttl=settings.ttl_slots, packet_bits=settings.packet_bits
-    )
-    beams = settings.beams
-    if algorithm == "greedy":
-        def choose(totals, slot):
-            return pattern_greedy(totals, beams)
-    else:
-        if mcts_cfg is None:
-            mcts_cfg = MctsConfig()
-        ctx = settings.score_context(grid, budget, params, state.totals())
-
-        def choose(totals, slot):
-            cfg = replace(mcts_cfg, rng_seed=_slot_seed(mcts_cfg.rng_seed, slot))
-            return compute_pattern_mcts(ctx, totals, beams, cfg)
-
-    return replay(state, choose, settings.horizon_slots, budget, params, settings.slot_s).plan
+    return System(grid, params, settings, budget).plan(arrival_rates, algorithm, mcts_cfg)
 
 
 def simulate_bhtp(
@@ -142,35 +200,13 @@ def simulate_bhtp(
     settings: PlannerSettings,
     rng: np.random.Generator | None = None,
 ) -> dict:
-    """Replay a fixed plan against the queue model; totals for scoring runs.
-
-    Every row must hold ``settings.beams`` distinct in-range cells, else
-    ValueError.
-    """
-    state = make_queue_state(
-        grid.n_cells, arrival_rates, ttl=settings.ttl_slots, packet_bits=settings.packet_bits
-    )
-    rows = tuple(bhtp)
-    run = replay(state, lambda totals, slot: rows[slot], len(rows), budget, params,
-                 settings.slot_s, rng=rng, expected_beams=settings.beams)
-    return {
-        "served_bits": run.served_total(),
-        "dropped_packets": sum(run.dropped_packets),
-        "per_slot_bits": run.served_bits,
-        "final_backlog": run.final_backlog,
-    }
+    """:meth:`System.simulate` on a system assembled from its parts."""
+    return System(grid, params, settings, budget).simulate(bhtp, arrival_rates, rng)
 
 
-def _background_job(
-    grid: CellGrid,
-    budget: LinkBudget,
-    params: LinkParams,
-    settings: PlannerSettings,
-    mcts_cfg: MctsConfig,
-    demand,
-) -> tuple:
+def _background_job(system: System, mcts_cfg: MctsConfig, demand, horizon: int) -> tuple:
     """Runs in a worker (process or thread): the refined plan for one demand."""
-    return plan_bhtp(demand, grid, budget, params, settings, "mcts", mcts_cfg)
+    return system.plan(demand, "mcts", mcts_cfg, horizon)
 
 
 def _reraise(exc: BaseException):
@@ -181,7 +217,7 @@ class _Job(NamedTuple):
     """One background job from enqueue to store."""
 
     demand: DemandClass  # discretized vector and its cache key
-    settings: PlannerSettings  # the queuing request's, horizon included
+    horizon: int  # the queuing request's
 
 
 class HybridPlanner:
@@ -201,13 +237,10 @@ class HybridPlanner:
     ):
         if mode not in EXECUTION_MODES:
             raise ValueError(f"unknown execution mode {mode!r}")
-        self.grid = grid
-        self.params = params
-        self.settings = settings
-        self.budget = build_link_budget(grid, params)
+        self.system = System(grid, params, settings)
         self.mcts_cfg = mcts_cfg if mcts_cfg is not None else MctsConfig()
         if cache is None:
-            cache = BhtpCache(c_max=default_c_max(self.budget, params, settings), beta=beta)
+            cache = BhtpCache(c_max=self.system.c_max, beta=beta)
         self.cache = cache
         self.mode = mode
         self.max_workers = max(1, int(max_workers))
@@ -237,17 +270,16 @@ class HybridPlanner:
 
     def handle_request(self, req: PlanRequest) -> PlanResponse:
         t0 = time.perf_counter()
+        system = self.system
         demand = np.asarray(req.demand, dtype=float)
-        if demand.shape != (self.grid.n_cells,):
+        if demand.shape != (system.grid.n_cells,):
             raise ValueError(
-                f"demand length {demand.shape} does not match {self.grid.n_cells} cells"
+                f"demand length {demand.shape} does not match {system.grid.n_cells} cells"
             )
-        horizon = req.horizon_slots or self.settings.horizon_slots
-        settings = (
-            self.settings
-            if horizon == self.settings.horizon_slots
-            else replace(self.settings, horizon_slots=horizon)
-        )
+        settings = system.settings
+        horizon = settings.horizon_slots if req.horizon_slots is None else req.horizon_slots
+        if horizon != settings.horizon_slots:
+            settings = replace(settings, horizon_slots=horizon)  # ValueError below 1
         demand_class = self.cache.classify(demand)
         stored = self.cache.lookup(demand_class)
         hit = stored is not None and len(stored) == horizon
@@ -259,13 +291,14 @@ class HybridPlanner:
                 self.online_misses += 1
         if hit:
             return PlanResponse(stored, "cache", time.perf_counter() - t0, req.request_id)
-        self._enqueue(demand_class, settings)
-        bhtp = plan_bhtp(demand, self.grid, self.budget, self.params, settings, "greedy")
+        self._enqueue(demand_class, horizon)
+        # The module-level plan_bhtp, so tracing that wraps it sees the online plan.
+        bhtp = plan_bhtp(demand, system.grid, system.budget, system.params, settings, "greedy")
         return PlanResponse(bhtp, "online_greedy", time.perf_counter() - t0, req.request_id)
 
     # -- background fill: claim under the lock, start and finish outside it --
 
-    def _enqueue(self, demand: DemandClass, settings: PlannerSettings):
+    def _enqueue(self, demand: DemandClass, horizon: int):
         with self._lock:
             if self._closed:
                 self.dropped_jobs += 1
@@ -274,7 +307,7 @@ class HybridPlanner:
                 self.coalesced += 1
                 return
             self._idle.clear()
-            self._waiting[demand.key] = _Job(demand, settings)
+            self._waiting[demand.key] = _Job(demand, horizon)
             while len(self._waiting) > self.max_pending:
                 self._waiting.popitem(last=False)
                 self.dropped_jobs += 1
@@ -297,8 +330,7 @@ class HybridPlanner:
     def _start(self, job: _Job | None):
         """Run claimed jobs inline in sync mode, or submit them to the pool."""
         while job is not None:
-            args = (self.grid, self.budget, self.params, job.settings, self.mcts_cfg,
-                    job.demand.vector)
+            args = (self.system, self.mcts_cfg, job.demand.vector, job.horizon)
             if self._executor is None:
                 job = self._finish(job, lambda: _background_job(*args))
                 continue

@@ -15,8 +15,8 @@ from hoplite.harness import (
     ExperimentConfig,
     MetricsRecord,
     convergence_iterations,
+    build_system,
     load_config,
-    make_system,
     run_all,
     run_beta_sweep,
     run_convergence_trace,
@@ -29,7 +29,6 @@ from hoplite.harness import (
     write_records_csv,
     write_records_json,
 )
-from hoplite.orchestrator import PlannerSettings, default_c_max
 
 
 def mean_served(records, algorithm):
@@ -50,8 +49,8 @@ def test_beams_default_quarter_rule():
 
 def test_scaled_demand_totals_and_determinism():
     cfg = ExperimentConfig()
-    grid, params, budget = make_system(3)
-    c0 = default_c_max(budget, params, PlannerSettings(beams=9))
+    system = build_system(cfg)
+    grid, c0 = system.grid, system.c_max
     for level in (0.2, 1.0, 1.2):
         rates = scaled_demand(grid, level, 9, c0, cfg, seed=5)
         assert rates.sum() == pytest.approx(level * 9 * c0, rel=1e-9)
@@ -65,9 +64,8 @@ def test_scaled_demand_totals_and_determinism():
 
 def test_scaled_demand_unknown_profile():
     cfg = ExperimentConfig(demand_profile="tidal")
-    grid, params, budget = make_system(3)
     with pytest.raises(ValueError):
-        scaled_demand(grid, 1.0, 9, 1000.0, cfg, seed=0)
+        scaled_demand(build_system(cfg).grid, 1.0, 9, 1000.0, cfg, seed=0)
 
 
 def test_load_config_round_trip(tmp_path):

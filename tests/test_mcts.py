@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import hoplite.mcts as mcts
 from hoplite.channel import build_link_budget
 from hoplite.geometry import generate_grid
 from hoplite.mcts import (
@@ -17,7 +18,6 @@ from hoplite.mcts import (
     compute_pattern_mcts_traced,
     pruned_actions,
     run_single_stage,
-    selection_value,
     selection_values,
     simulate,
     uct_select,
@@ -25,6 +25,38 @@ from hoplite.mcts import (
 from hoplite.scoring import score_sliding_window, with_queue_totals
 
 from conftest import build_ctx
+
+
+def selection_value(cell, selected, queue_totals, grid, d_max=None) -> float:
+    """Scalar oracle of ``selection_values``: backlog share plus normalized
+    spread from the chosen cells, one distance at a time."""
+    selected = list(selected)
+    if cell in selected:
+        raise ValueError(f"cell {cell} already selected")
+    totals = np.asarray(queue_totals, dtype=float)
+    if d_max is None:
+        d_max = float(totals.max()) if totals.size else 0.0
+    demand_term = float(totals[cell]) / d_max if d_max > 0 else 0.0
+    if not selected:
+        return demand_term
+    dist_max = grid.span() * len(selected)
+    dist_sum = sum(grid.distance(cell, j) for j in selected)
+    return demand_term + (dist_sum / dist_max if dist_max > 0 else 0.0)
+
+
+@pytest.fixture
+def rollouts(monkeypatch):
+    """Per node id, the scores of the rollouts launched from that node."""
+    launched = {}
+    rollout = mcts.simulate
+
+    def recorded(node, *args):
+        score = rollout(node, *args)
+        launched.setdefault(id(node), []).append(score)
+        return score
+
+    monkeypatch.setattr(mcts, "simulate", recorded)
+    return launched
 
 # -- selection ----------------------------------------------------------------
 
@@ -97,7 +129,6 @@ def test_backup_single_path():
     for node in (root, mid, leaf):
         assert node.visit_count == 1
         assert node.score_sum == 0.5
-    assert leaf.own_visits == 1 and root.own_visits == 0
 
 
 def test_root_sum_is_sum_of_all_scores(grid8, budget8, params):
@@ -116,17 +147,17 @@ def walk(node):
         yield from walk(child)
 
 
-def test_subtree_sums_recompute_exactly(grid8, budget8, params):
+def test_subtree_sums_recompute_exactly(grid8, budget8, params, rollouts):
     ctx = build_ctx(grid8, budget8, params, np.arange(8, dtype=float) * 80, beams=3)
     rng = np.random.default_rng(5)
     _, root = run_single_stage(ctx, (), 3, MctsConfig(max_iterations=200), rng)
+    assert sum(len(scores) for scores in rollouts.values()) == 200
     for node in walk(root):
+        own = rollouts.get(id(node), [])
         child_visits = sum(c.visit_count for c in node.children.values())
         child_sums = sum(c.score_sum for c in node.children.values())
-        assert node.visit_count == node.own_visits + child_visits
-        assert node.score_sum == pytest.approx(
-            node.own_score_sum + child_sums, rel=1e-9
-        )
+        assert node.visit_count == len(own) + child_visits
+        assert node.score_sum == pytest.approx(sum(own) + child_sums, rel=1e-9)
         # The parent's per-candidate arrays add the same scores in the same
         # order as each child's own sums, so they agree exactly.
         for action, child in node.children.items():
@@ -164,11 +195,11 @@ def test_stage_creates_at_most_one_node_per_iteration(params):
     assert sum(1 for _ in walk(root)) <= 201
 
 
-def test_root_visit_accounting(grid8, budget8, params):
+def test_root_visit_accounting(grid8, budget8, params, rollouts):
     ctx = build_ctx(grid8, budget8, params, np.full(8, 100.0), beams=3)
     rng = np.random.default_rng(9)
     _, root = run_single_stage(ctx, (), 3, MctsConfig(max_iterations=120), rng)
-    assert root.own_visits == 0  # every iteration descends into a child
+    assert id(root) not in rollouts  # every iteration descends into a child
     assert sum(c.visit_count for c in root.children.values()) == root.visit_count == 120
 
 

@@ -118,9 +118,9 @@ def test_first_miss_then_hit_sync(system):
     expect = plan_bhtp(
         planner.cache.discretize(demand),
         grid,
-        planner.budget,
+        planner.system.budget,
         params,
-        planner.settings,
+        planner.system.settings,
         "mcts",
         planner.mcts_cfg,
     )
@@ -180,6 +180,16 @@ def test_horizon_mismatch_is_a_miss(system):
     assert len(repeat.bhtp) == 3
 
 
+@pytest.mark.parametrize("horizon", [0, -1])
+def test_horizon_below_one_rejected(system, horizon):
+    grid = system[0]
+    planner = sync_planner(system, horizon=5)
+    with pytest.raises(ValueError):
+        planner.handle_request(PlanRequest(np.full(grid.n_cells, 800.0), horizon_slots=horizon))
+    stats = planner.stats()
+    assert stats["requests"] == stats["online_misses"] == stats["jobs_completed"] == 0
+
+
 def test_invalid_mode_rejected(system):
     grid, budget, params = system
     with pytest.raises(ValueError):
@@ -197,13 +207,11 @@ class GatedJob:
         self.release = threading.Event()
         self.calls = 0
 
-    def __call__(self, grid, budget, params, settings, mcts_cfg, demand):
+    def __call__(self, system, mcts_cfg, demand, horizon):
         self.calls += 1
         self.started.set()
         assert self.release.wait(20), "test never released the gated job"
-        return tuple(
-            tuple(range(settings.beams)) for _ in range(settings.horizon_slots)
-        )
+        return tuple(tuple(range(system.settings.beams)) for _ in range(horizon))
 
 
 def thread_planner(system, max_pending=8):

@@ -225,10 +225,10 @@ def test_simulate_bhtp_rejects_bad_rows(bad, params):
 @pytest.mark.parametrize("bad", sorted(BAD_ROWS))
 def test_harness_replay_rejects_bad_rows(bad, monkeypatch):
     cfg = ExperimentConfig(algorithms=("greedy",), horizon_slots=3)
-    grid, params, budget = harness.make_system(cfg.rings)
-    beams = cfg.beams_for(grid.n_cells)
+    system = harness.build_system(cfg)
+    beams = system.settings.beams
     monkeypatch.setattr(
         harness, "_pattern_fn", lambda *args: lambda totals, slot: BAD_ROWS[bad](beams)
     )
     with pytest.raises(ValueError):
-        harness._simulate_run("greedy", np.full(37, 100.0), grid, budget, params, cfg, 0, 1.0)
+        harness._simulate_run("greedy", np.full(37, 100.0), system, cfg, 0, 1.0)
