@@ -8,8 +8,11 @@ change in behaviour:
 
 Sections:
   rings<r>.*   both scorers on 1800 seeded patterns (Ds of 1, 3 and 100 cell
-               diameters), plain and pruned MCTS patterns, greedy and MCTS
-               plans, on 20 demand vectors at rings 3 and at rings 6;
+               diameters), and `score_batch` on the same patterns with each
+               backend (`batch_sliding`, `batch_brute`; the script exits
+               non-zero unless they equal the scalar scores bit for bit),
+               plain and pruned MCTS patterns, greedy and MCTS plans, on 20
+               demand vectors at rings 3 and at rings 6;
   run_all.*    every sweep of `run_all` on a small config, once with defaults
                and once with pruning, prune_width=4 and the brute-force
                backend (timing columns stripped);
@@ -45,6 +48,7 @@ from hoplite.orchestrator import (
 from hoplite.scoring import (
     make_score_context,
     omega_max_for,
+    score_batch,
     score_bruteforce,
     score_sliding_window,
 )
@@ -73,26 +77,35 @@ def system(rings: int):
     return grid, budget, beams, ExperimentConfig(rings=rings)
 
 
-def scorers_and_plans(out: dict):
+def scorers_and_plans(out: dict) -> list[str]:
+    """Fills ``out``; returns the sections where the batch and scalar scores differ."""
+    mismatched = []
     for rings in (3, 6):
         grid, budget, beams, cfg = system(rings)
         n = grid.n_cells
         settings = PlannerSettings(beams=beams, horizon_slots=3)
         c0 = default_c_max(budget, PARAMS, settings)
-        res = {k: [] for k in ("mcts", "mcts_pruned", "greedy", "plan_mcts", "brute", "sliding")}
+        res = {k: [] for k in ("mcts", "mcts_pruned", "greedy", "plan_mcts", "brute", "sliding",
+                               "batch_brute", "batch_sliding")}
         for i in range(20):
             rates = scaled_demand(grid, 0.6 + 0.05 * i, beams, c0, cfg, seed=1000 + i)
             totals = np.rint(rates * 3)
             mc = MctsConfig(max_iterations=40, rng_seed=(rings, i))
             for ds in (1.0, 3.0, 100.0):
-                ctx = make_score_context(grid, budget, PARAMS, totals,
-                                         ds_km=ds * grid.cell_diameter,
-                                         omega_max=omega_max_for(budget, PARAMS, beams, 0.1))
+                ctx, brute_ctx = (
+                    make_score_context(grid, budget, PARAMS, totals,
+                                       ds_km=ds * grid.cell_diameter, backend=backend,
+                                       omega_max=omega_max_for(budget, PARAMS, beams, 0.1))
+                    for backend in ("sliding", "bruteforce"))
                 rng = np.random.default_rng((rings, i, int(ds)))
+                patterns = []
                 for _ in range(30):
                     p = tuple(int(c) for c in rng.choice(n, size=beams, replace=False))
                     res["brute"].append(score_bruteforce(p, ctx, beams).hex())
                     res["sliding"].append(score_sliding_window(p, ctx, beams).hex())
+                    patterns.append(p)
+                for key, c in (("batch_sliding", ctx), ("batch_brute", brute_ctx)):
+                    res[key].extend(s.hex() for s in score_batch(np.array(patterns), c).tolist())
             ctx = make_score_context(grid, budget, PARAMS, totals,
                                      omega_max=omega_max_for(budget, PARAMS, beams, 0.1))
             res["mcts"].append(compute_pattern_mcts(ctx, totals, beams, mc))
@@ -104,6 +117,9 @@ def scorers_and_plans(out: dict):
                                               replace(mc, max_iterations=20)))
         for k, v in res.items():
             out[f"rings{rings}.{k}"] = f"{len(v)} items {digest(v)}"
+        mismatched += [f"rings{rings}.batch_{k}" for k in ("brute", "sliding")
+                       if res[f"batch_{k}"] != res[k]]
+    return mismatched
 
 
 def sweeps(out: dict):
@@ -186,13 +202,16 @@ def planner_requests(out: dict):
 
 def main() -> int:
     out = {}
-    for section in (scorers_and_plans, sweeps, searches, planner_requests):
+    mismatched = scorers_and_plans(out)
+    for section in (sweeps, searches, planner_requests):
         section(out)
     text = json.dumps(out, indent=1, sort_keys=True) + "\n"
     if len(sys.argv) > 1:
         Path(sys.argv[1]).write_text(text)
     print(text, end="")
-    return 0
+    for key in mismatched:
+        print(f"score_batch differs from the scalar scorer: {key}", file=sys.stderr)
+    return 1 if mismatched else 0
 
 
 if __name__ == "__main__":

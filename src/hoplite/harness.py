@@ -329,6 +329,7 @@ def run_beta_sweep(cfg: ExperimentConfig) -> list[dict]:
                 mcts_cfg=replace(mcts_cfg, rng_seed=_entropy(seed)),
                 mode="sync",
                 beta=beta,
+                budget=system.budget,
             )
             first = planner.handle_request(PlanRequest(rates))
             assert first.source == "online_greedy"

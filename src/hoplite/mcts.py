@@ -9,6 +9,16 @@ next stage begins. Expanding a node records its candidate cells; a child
 node is created on the first descent into it, so a stage of I iterations
 holds at most I + 1 nodes.
 
+A stage draws all its randomness at once: one uniform key per iteration and
+grid cell. Iteration t completes its leaf's prefix with the unchosen cells
+of smallest key in row t. The first iterations of a stage visit each root
+candidate once, in ascending order, whatever the scores; this sweep is
+drawn with one ``argpartition`` over its key rows, scored with one
+``score_batch`` call and backed up in iteration order, which is exactly the
+one-at-a-time search (leaf parallelization of the forced first visits, as in
+Cazenave & Jouandeau, "On the Parallelization of UCT", 2007). The UCT
+iterations after it run one at a time on the scalar scorer.
+
 Each node keeps its unchosen cells, derived from its parent's, and the visit
 counts and score sums of its children in arrays indexed like its candidate
 list, so UCT over a fully expanded node is a handful of array operations.
@@ -29,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import CellGrid
-from .scoring import ScoreContext, score_pattern, with_queue_totals
+from .scoring import ScoreContext, score_batch, score_pattern, with_queue_totals
 
 @dataclass(frozen=True)
 class MctsConfig:
@@ -175,19 +185,28 @@ def uct_select(node: SearchNode, c: float) -> int:
     return node.candidates[int(values.argmax())]
 
 
-def simulate(node: SearchNode, ctx: ScoreContext, beams: int, rng) -> float:
-    """Score of the node's prefix completed uniformly at random to K cells."""
+def simulate(node: SearchNode, ctx: ScoreContext, beams: int, keys) -> float:
+    """Score of the node's prefix completed to K cells by ``keys``, one
+    uniform key per grid cell: the unchosen cells with the smallest keys."""
     prefix = node.prefix
     need = beams - len(prefix)
     if need == 0:
         return score_pattern(prefix, ctx, beams)
-    remaining = node.remaining
-    if need == len(remaining):
-        extra = remaining
-    else:
-        picks = rng.choice(len(remaining), size=need, replace=False).tolist()
-        extra = [remaining[i] for i in picks]
-    return score_pattern(prefix + tuple(extra), ctx, beams)
+    if need == len(node.remaining):
+        return score_pattern(prefix + tuple(node.remaining), ctx, beams)
+    keys = keys.copy()
+    keys[list(prefix)] = np.inf
+    return score_pattern(prefix + tuple(_smallest(keys, need).tolist()), ctx, beams)
+
+
+def _smallest(keys: np.ndarray, need: int) -> np.ndarray:
+    """Per row of ``keys``, the positions of its ``need`` smallest entries.
+
+    The one completion rule of both search phases: with the chosen cells'
+    keys set to infinity, a uniform key row picks a uniform ``need``-subset
+    of the unchosen cells.
+    """
+    return np.argpartition(keys, need - 1, axis=-1)[..., :need]
 
 
 def backup(path: list[SearchNode], score: float):
@@ -227,14 +246,25 @@ def run_single_stage(
     """
     prefix = tuple(prefix)
     chosen = set(prefix)
-    remaining = [cell for cell in range(ctx.grid.n_cells) if cell not in chosen]
+    n = ctx.grid.n_cells
+    remaining = [cell for cell in range(n) if cell not in chosen]
+    keys = rng.random((cfg.max_iterations, n))
     root = SearchNode(prefix, remaining)
+    _expand(root, ctx, cfg, beams)
+    swept = min(len(root.candidates), cfg.max_iterations)
+    for child, score in zip(
+        [root.add_child(a) for a in root.candidates[:swept]],
+        _sweep_scores(ctx, prefix, root.candidates[:swept], beams, keys[:swept]),
+    ):
+        backup([root, child], score)
+        if trace_scores is not None:
+            trace_scores.append(score)
     c = cfg.exploration_constant
-    for _ in range(cfg.max_iterations):
+    for t in range(swept, cfg.max_iterations):
         node = root
         path = [root]
         while not node.is_terminal(beams):
-            if node.visit_count == 0 and node is not root:
+            if node.visit_count == 0:
                 break  # fresh leaf: roll out before growing below it
             if not node.candidates:
                 _expand(node, ctx, cfg, beams)
@@ -244,11 +274,29 @@ def run_single_stage(
                 child = node.add_child(action)
             node = child
             path.append(node)
-        score = simulate(node, ctx, beams, rng)
+        score = simulate(node, ctx, beams, keys[t])
         backup(path, score)
         if trace_scores is not None:
             trace_scores.append(score)
     return _commit(root), root
+
+
+def _sweep_scores(ctx: ScoreContext, prefix: tuple, actions: list, beams: int, keys):
+    """Rollout scores of the root's first visits, one per action, in one batch.
+
+    Row t completes ``prefix + (actions[t],)`` by key row t, the rule of
+    :func:`simulate`, and all rows are scored by one :func:`score_batch`.
+    """
+    head = np.empty((len(actions), len(prefix) + 1), dtype=np.int64)
+    head[:, :-1] = prefix
+    head[:, -1] = actions
+    need = beams - head.shape[1]
+    if need:
+        keys = keys.copy()
+        keys[:, list(prefix)] = np.inf
+        keys[np.arange(len(actions)), actions] = np.inf
+        head = np.concatenate([head, _smallest(keys, need)], axis=1)
+    return score_batch(head, ctx).tolist()
 
 
 def _commit(root: SearchNode) -> int:

@@ -221,7 +221,11 @@ class _Job(NamedTuple):
 
 
 class HybridPlanner:
-    """Serves plan requests from the cache, filling misses in the background."""
+    """Serves plan requests from the cache, filling misses in the background.
+
+    ``budget`` spares a caller that already holds the grid's link budget a
+    rebuild; it is checked against the grid like :class:`System`'s.
+    """
 
     def __init__(
         self,
@@ -234,10 +238,11 @@ class HybridPlanner:
         max_workers: int = 1,
         max_pending: int = 8,
         beta: int = 4,
+        budget: LinkBudget | None = None,
     ):
         if mode not in EXECUTION_MODES:
             raise ValueError(f"unknown execution mode {mode!r}")
-        self.system = System(grid, params, settings)
+        self.system = System(grid, params, settings, budget)
         self.mcts_cfg = mcts_cfg if mcts_cfg is not None else MctsConfig()
         if cache is None:
             cache = BhtpCache(c_max=self.system.c_max, beta=beta)

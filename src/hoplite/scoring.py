@@ -11,9 +11,11 @@ runs once per context, over the whole x-sorted grid, and each score only
 filters the stored window of each served cell by pattern membership. Both
 backends end in the same SINR -> Shannon -> backlog-cap tail.
 
-The hot kernels deliberately run on plain Python floats: per-call array
+The scalar kernels deliberately run on plain Python floats: per-call array
 overhead would otherwise dwarf the per-interferer work these backends differ
-in, making the asymptotic win invisible at desk scale.
+in, making the asymptotic win invisible at desk scale. :func:`score_batch`
+scores many patterns at once on a padded per-cell window table built with
+the context, and equals :func:`score_pattern` on every row bit for bit.
 """
 
 from __future__ import annotations
@@ -58,6 +60,12 @@ class ScoreContext:
     # pattern by rank gives its cells in ascending x in O(K log K).
     rank_list: list = field(repr=False, default_factory=list)
     queue_bits: list = field(repr=False, default_factory=list)
+    # Padded n x W window table for :func:`score_batch`: batch_window[c] is
+    # window[c] (the whole grid but c for "bruteforce") filled up with the
+    # never-served index n, batch_gain[c] the matching gains into c (0.0 at
+    # the pads).
+    batch_window: np.ndarray = field(repr=False, default=None)
+    batch_gain: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
         if self.omega_max <= 0:
@@ -97,8 +105,12 @@ def make_score_context(
         raise ValueError("omega_max is required; use omega_max_for(...)")
     ranks = np.empty(grid.n_cells, dtype=np.int64)
     ranks[grid.sorted_by_x] = np.arange(grid.n_cells)
-    window = interference_cells_sliding_window(
-        grid.sorted_by_x.tolist(), grid, float(ds_km)
+    order = grid.sorted_by_x.tolist()
+    window = interference_cells_sliding_window(order, grid, float(ds_km))
+    window = [window[c] for c in range(grid.n_cells)]
+    batch_window, batch_gain = _batch_tables(
+        budget.gain2, [[l for l in order if l != c] for c in range(grid.n_cells)]
+        if backend == "bruteforce" else window,
     )
     return ScoreContext(
         grid=grid,
@@ -111,10 +123,24 @@ def make_score_context(
         omega_max=float(omega_max),
         backend=backend,
         gain_cols=budget.gain2.T.tolist(),
-        window=[window[c] for c in range(grid.n_cells)],
+        window=window,
         rank_list=ranks.tolist(),
         queue_bits=(totals * packet_bits).tolist(),
+        batch_window=batch_window,
+        batch_gain=batch_gain,
     )
+
+
+def _batch_tables(gain2: np.ndarray, windows: list) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cell windows padded to one width with index n, and their gains."""
+    n = len(windows)
+    table = np.full((n, max(map(len, windows), default=0)), n, dtype=np.int64)
+    for c, cells in enumerate(windows):
+        table[c, : len(cells)] = cells
+    gains = np.zeros(table.shape)
+    real = table < n
+    gains[real] = gain2[table[real], np.nonzero(real)[0]]
+    return table, gains
 
 
 def omega_max_for(
@@ -274,6 +300,56 @@ def score_sliding_window(
                 acc += col[l]
         accs.append(acc)
     return _served_bits(ordered, accs, ctx) / ctx.omega_max
+
+
+def score_batch(patterns, ctx: ScoreContext) -> np.ndarray:
+    """:func:`score_pattern` of every row of a B x K array of cells, bit for bit.
+
+    Each row is taken in x-rank order; each served cell adds its padded
+    window's gains in window order, 0.0 for a cell not co-served (adding
+    0.0 is exact), which is the scalar scorers' pair set and summation
+    order. The tail repeats :func:`_served_bits` operation for operation,
+    with ``math.log2`` per element (``np.log2`` may differ in the last
+    bit), and sums each row's cells column by column in x-rank order.
+    """
+    patterns = np.asarray(patterns, dtype=np.int64)
+    if patterns.ndim != 2:
+        raise ValueError("patterns must be a B x K array")
+    # Rows are independent: score them in chunks of about 2**20 window
+    # entries, so a grid-wide window on a large grid stays a few tens of MB.
+    step = max(1, (1 << 20) // max(1, patterns.shape[1] * ctx.batch_window.shape[1]))
+    if len(patterns) > step:
+        return np.concatenate(
+            [score_batch(patterns[i : i + step], ctx) for i in range(0, len(patterns), step)]
+        )
+    n = ctx.grid.n_cells
+    if patterns.size and (patterns.min() < 0 or patterns.max() >= n):
+        raise ValueError("pattern cell out of range")
+    ranks = np.asarray(ctx.rank_list)[patterns]
+    order = np.argsort(ranks, axis=1)
+    if (np.diff(np.take_along_axis(ranks, order, axis=1), axis=1) == 0).any():
+        raise ValueError("pattern has duplicate cells")
+    cells = np.take_along_axis(patterns, order, axis=1)
+    rows = np.arange(len(cells))[:, None]
+    served = np.zeros((len(cells), n + 1), dtype=bool)
+    served[rows, cells] = True
+    windows = ctx.batch_window[cells]
+    member = served[rows[:, :, None], windows]
+    gains = np.where(member, ctx.batch_gain[cells], 0.0)
+    acc = np.zeros(cells.shape)
+    for j in range(gains.shape[2]):
+        acc = acc + gains[:, :, j]
+    power = ctx.params.beam_power_w
+    ratio = power * ctx.budget.gain2.diagonal()[cells] / (ctx.budget.noise_power_w + power * acc)
+    log_terms = (1.0 + ratio).ravel().tolist()
+    lg = np.fromiter(map(math.log2, log_terms), float, len(log_terms)).reshape(ratio.shape)
+    deliverable = ctx.params.bandwidth_hz * lg * ctx.slot_s
+    backlog_bits = ctx.queue_totals[cells] * ctx.packet_bits
+    bits = np.where(deliverable < backlog_bits, deliverable, backlog_bits)
+    total = np.zeros(len(cells))
+    for k in range(bits.shape[1]):
+        total = total + bits[:, k]
+    return total / ctx.omega_max
 
 
 def score_pattern(

@@ -281,6 +281,26 @@ def test_beta_sweep_rows():
     assert all(row["served_bits"] > 0 for row in rows)
 
 
+def test_beta_sweep_builds_one_link_budget(monkeypatch):
+    # Every planner of the sweep plans for the sweep's own system, so the
+    # N x N link budget is built once, not once per (seed, beta).
+    import hoplite.orchestrator as orchestrator
+
+    builds = []
+    build = orchestrator.build_link_budget
+
+    def counted(grid, params):
+        builds.append(grid.n_cells)
+        return build(grid, params)
+
+    monkeypatch.setattr(orchestrator, "build_link_budget", counted)
+    cfg = ExperimentConfig(rings=2, seeds=(0, 1, 2), beta_levels=(2, 4, 6, 8, 10),
+                           horizon_slots=4, mcts_iterations=5)
+    rows = run_beta_sweep(cfg)
+    assert len(rows) == 3 * 6
+    assert builds == [19]
+
+
 def test_ds_sweep_score_time_increases_with_window():
     cfg = ExperimentConfig(
         rings=6,

@@ -46,16 +46,19 @@ def selection_value(cell, selected, queue_totals, grid, d_max=None) -> float:
 
 @pytest.fixture
 def rollouts(monkeypatch):
-    """Per node id, the scores of the rollouts launched from that node."""
+    """Per node id, the scores of the rollouts launched from that node.
+
+    Every rollout, batched in the root sweep or not, is backed up once along
+    its root-to-leaf path, so the path's last node is where it started.
+    """
     launched = {}
-    rollout = mcts.simulate
+    add = mcts.backup
 
-    def recorded(node, *args):
-        score = rollout(node, *args)
-        launched.setdefault(id(node), []).append(score)
-        return score
+    def recorded(path, score):
+        launched.setdefault(id(path[-1]), []).append(score)
+        return add(path, score)
 
-    monkeypatch.setattr(mcts, "simulate", recorded)
+    monkeypatch.setattr(mcts, "backup", recorded)
     return launched
 
 # -- selection ----------------------------------------------------------------
@@ -222,11 +225,12 @@ def test_one_missing_cell_rollout_deterministic(grid8, budget8, params):
 
 
 def test_rollout_mean_matches_uniform_sampling(ctx37):
-    # Rollouts from the empty root are uniform 9-subsets, so their mean must
-    # agree with an independently drawn sample of uniform subsets.
+    # Completing the empty root by the 9 smallest of 37 uniform keys draws
+    # uniform 9-subsets, so the mean score must agree with an independently
+    # drawn sample of uniform subsets.
     root = SearchNode((), list(range(37)))
-    rng = np.random.default_rng(77)
-    rollouts = np.array([simulate(root, ctx37, 9, rng) for _ in range(10_000)])
+    keys = np.random.default_rng(77).random((10_000, 37))
+    rollouts = np.array([simulate(root, ctx37, 9, row) for row in keys])
     oracle_rng = np.random.default_rng(1234)
     direct = np.array(
         [
@@ -243,6 +247,77 @@ def test_rollout_mean_matches_uniform_sampling(ctx37):
     )
     se = math.sqrt(rollouts.var(ddof=1) / len(rollouts) + direct.var(ddof=1) / len(direct))
     assert abs(rollouts.mean() - direct.mean()) <= 3 * se
+
+
+def test_rollout_takes_unchosen_cells_with_smallest_keys(ctx37):
+    node = SearchNode((3, 30), [c for c in range(37) if c not in (3, 30)])
+    keys = np.random.default_rng(41).random(37)
+    keys[[3, 30]] = -1.0  # chosen cells' keys are never read
+    extra = sorted(node.remaining, key=keys.__getitem__)[:7]
+    expect = score_sliding_window((3, 30, *extra), ctx37, 9)
+    assert simulate(node, ctx37, 9, keys) == expect
+
+
+# -- batched root sweep -----------------------------------------------------------
+
+
+def stage_one_at_a_time(ctx, prefix, beams, cfg, rng, trace_scores):
+    """Reference stage: every iteration descends, rolls out with the scalar
+    scorer and backs up on its own, key row t completing iteration t."""
+    prefix = tuple(prefix)
+    n = ctx.grid.n_cells
+    keys = rng.random((cfg.max_iterations, n))
+    root = SearchNode(prefix, [cell for cell in range(n) if cell not in prefix])
+    for t in range(cfg.max_iterations):
+        node, path = root, [root]
+        while not node.is_terminal(beams):
+            if node.visit_count == 0 and node is not root:
+                break
+            if not node.candidates:
+                mcts._expand(node, ctx, cfg, beams)
+            action = uct_select(node, cfg.exploration_constant)
+            node = node.children.get(action) or node.add_child(action)
+            path.append(node)
+        score = simulate(node, ctx, beams, keys[t])
+        backup(path, score)
+        trace_scores.append(score)
+    return mcts._commit(root), root
+
+
+def same_tree(a, b):
+    assert (a.prefix, a.remaining, a.slot) == (b.prefix, b.remaining, b.slot)
+    assert (a.visit_count, a.score_sum, a.candidates) == (b.visit_count, b.score_sum, b.candidates)
+    if a.child_visits is None:
+        assert b.child_visits is None
+    else:
+        assert a.child_visits.tolist() == b.child_visits.tolist()
+        assert a.child_sums.tolist() == b.child_sums.tolist()
+    assert list(a.children) == list(b.children)
+    for action, child in a.children.items():
+        same_tree(child, b.children[action])
+
+
+@pytest.mark.parametrize(
+    "prefix, iterations, pruning",
+    [((), 20, False), ((), 60, False), ((4, 11), 15, False), ((4, 11), 90, False),
+     ((), 3, True), ((), 40, True), ((7,), 40, True),
+     (tuple(range(0, 32, 4)), 50, False), (tuple(range(0, 32, 4)), 10, True)],
+    ids=["plain_below", "plain_above", "prefix_below", "prefix_above", "pruned_below",
+         "pruned_above", "pruned_prefix", "last_stage", "last_stage_pruned"],
+)
+def test_batched_sweep_matches_one_iteration_at_a_time(ctx37, prefix, iterations, pruning):
+    # Below the root candidate count (37 - len(prefix) plain, 9 pruned) the
+    # whole stage is the sweep; above it the UCT phase follows. A prefix of
+    # 8 cells makes the stage the last one, whose rollouts draw nothing.
+    cfg = MctsConfig(max_iterations=iterations, pruning_enabled=pruning)
+    ref_scores, got_scores = [], []
+    ref_action, ref_root = stage_one_at_a_time(
+        ctx37, prefix, 9, cfg, np.random.default_rng(61), ref_scores)
+    action, root = run_single_stage(
+        ctx37, prefix, 9, cfg, np.random.default_rng(61), got_scores)
+    assert action == ref_action
+    assert [s.hex() for s in got_scores] == [s.hex() for s in ref_scores]
+    same_tree(root, ref_root)
 
 
 # -- pruning heuristic ----------------------------------------------------------
@@ -399,24 +474,24 @@ def ctx127(params):
 @pytest.mark.parametrize(
     "ctx_name, beams, iterations, pruning, pattern, scores_sha256",
     [
-        ("ctx37", 9, 60, False, (0, 16, 18, 30, 23, 14, 25, 27, 20),
-         "2c55b1716a215250aa501cab71666b66753142ab542364838f7ecb95d23c5e93"),
-        ("ctx37", 9, 20, False, (12, 5, 18, 20, 10, 24, 16, 17, 0),
-         "bbb754de8e786ea6275d989fb85e19d8d01d5435b31bd93184062489c7957c63"),
-        ("ctx37", 9, 60, True, (30, 1, 24, 33, 2, 27, 16, 12, 36),
-         "9428e8d3f0302e4bb9c5ea47bb49e9bc03b5f2eb1b2971de6f36b29589b07ac0"),
+        ("ctx37", 9, 60, False, (21, 31, 10, 25, 17, 27, 29, 5, 1),
+         "35f883f7891cf70e8d12de6fdd133cc251f353d13cd5f01419932305fb5f8823"),
+        ("ctx37", 9, 20, False, (13, 10, 2, 5, 23, 18, 16, 20, 25),
+         "2fdeded8abb1b1f7c8bb1cfa1bda02e6cbdce84bd29b164e4d5919765ed63c0c"),
+        ("ctx37", 9, 60, True, (1, 30, 27, 24, 33, 36, 14, 12, 5),
+         "d9945e9c9c9db644fb358f35b32d954d6d9e4d02d95ad4e668d170e35d17325f"),
         ("ctx127", 31, 40, False,
-         (0, 4, 18, 19, 5, 2, 3, 45, 33, 48, 38, 20, 35, 14, 43, 36, 42, 39, 17, 28,
-          23, 34, 55, 29, 21, 26, 16, 47, 51, 61, 65),
-         "245ddb829d82d3e35f66eb15b8e0c5d28ee3fd556fa9e958930ed4357d5c4d1b"),
+         (10, 7, 35, 2, 23, 5, 34, 38, 27, 19, 20, 0, 12, 31, 25, 43, 54, 13, 14, 15,
+          21, 16, 18, 60, 47, 56, 61, 17, 45, 67, 51),
+         "b7ea390e49ef99d13c040481a38491d0faa9120d4b66dd0d498436ecac7d6ae1"),
         ("ctx127", 31, 140, False,
-         (0, 58, 123, 52, 23, 108, 103, 33, 70, 89, 38, 16, 53, 26, 115, 92, 90, 79,
-          9, 74, 78, 101, 119, 14, 82, 20, 80, 43, 126, 86, 18),
-         "079777c5d15e4c08855529c41ab32b77a40b1c76d7171bd699ff85709bcce4b9"),
+         (65, 78, 55, 48, 75, 125, 105, 88, 87, 5, 101, 0, 94, 120, 84, 95, 74, 34,
+          58, 26, 115, 91, 76, 100, 40, 39, 92, 67, 81, 10, 18),
+         "79e2bf3f16a4b7675b25c496f6076c4c8cc2b67ac7b459a09bec6957250784e9"),
         ("ctx127", 31, 40, True,
-         (51, 17, 2, 86, 92, 70, 78, 87, 61, 30, 39, 76, 25, 82, 68, 103, 111, 89, 65,
-          126, 5, 0, 16, 81, 1, 123, 34, 106, 94, 98, 36),
-         "28761235e761ff5abc92b653df1300417159c1ac2f18dc3b048f165d078cd4c0"),
+         (109, 39, 89, 82, 98, 76, 61, 100, 123, 103, 17, 116, 68, 5, 117, 119, 78, 25,
+          71, 94, 87, 65, 27, 84, 2, 126, 86, 36, 38, 30, 74),
+         "dc317164790ac1f4a60ecdbc23d9ba2f07a6adb6754e521a242eb0d0e7cc6252"),
     ],
     ids=["plain60", "plain20", "pruned60", "rings6_plain40", "rings6_plain140",
          "rings6_pruned40"],
@@ -424,10 +499,10 @@ def ctx127(params):
 def test_pinned_search_trajectory(
     request, ctx_name, beams, iterations, pruning, pattern, scores_sha256
 ):
-    # The 37-cell cases were recorded from the eager tree that built every
-    # child on expansion, the 127-cell ones from the tree with parent
-    # pointers and per-child visit counters: the tree layout may change, the
-    # search decisions and rollouts may not. 20 and 40 iterations are below
+    # Recorded when rollouts began to draw from one key block per stage and
+    # the root sweep was scored in one batch: the tree layout and the
+    # batching may change, the search decisions and rollouts may not (a new
+    # completion rule is a recorded re-pin). 20 and 40 iterations are below
     # the root candidate count (37, 127), 60 and 140 above; pruning keeps
     # 9 and 31 root candidates.
     ctx = request.getfixturevalue(ctx_name)

@@ -196,6 +196,15 @@ def test_invalid_mode_rejected(system):
         HybridPlanner(grid, params, PlannerSettings(beams=9), mode="fiber")
 
 
+def test_planner_takes_a_budget_that_fits_its_grid(system):
+    grid, budget, params = system
+    planner = HybridPlanner(grid, params, PlannerSettings(beams=9), mode="sync", budget=budget)
+    assert planner.system.budget is budget
+    other = build_link_budget(generate_grid(2), params)
+    with pytest.raises(ValueError):
+        HybridPlanner(grid, params, PlannerSettings(beams=9), mode="sync", budget=other)
+
+
 # -- background fill (thread mode, gated worker) --------------------------------------
 
 

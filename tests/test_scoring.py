@@ -12,6 +12,7 @@ from hoplite.scoring import (
     interference_cells_sliding_window,
     make_score_context,
     omega_max_for,
+    score_batch,
     score_bruteforce,
     score_pattern,
     score_sliding_window,
@@ -378,3 +379,66 @@ def test_omega_max_scales_with_beams_and_slot(budget37, params):
     one = omega_max_for(budget37, params, 1, 0.1)
     assert omega_max_for(budget37, params, 9, 0.1) == pytest.approx(9 * one, rel=1e-12)
     assert omega_max_for(budget37, params, 1, 0.2) == pytest.approx(2 * one, rel=1e-12)
+
+
+# -- batch kernel ------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module", params=[3, 6, 10], ids=["37", "127", "331"])
+def batch_system(request, params):
+    grid = generate_grid(request.param)
+    rng = np.random.default_rng(request.param)
+    totals = rng.integers(0, 20000, grid.n_cells).astype(float)
+    totals[::7] = 0.0  # some cells deliver nothing, most are capped by either side
+    return grid, build_link_budget(grid, params), totals
+
+
+@pytest.mark.parametrize("ds_diameters", [0.0, 1.0, 3.0, 1e3], ids=["ds0", "ds1", "ds3", "wide"])
+def test_score_batch_equals_scalar_scorers_row_for_row(batch_system, params, ds_diameters):
+    grid, budget, totals = batch_system
+    n = grid.n_cells
+    slide, brute = (
+        build_ctx(grid, budget, params, totals, beams=n // 4,
+                  ds_km=ds_diameters * grid.cell_diameter, backend=backend)
+        for backend in ("sliding", "bruteforce")
+    )
+    rng = np.random.default_rng((n, int(ds_diameters)))
+    for k in sorted({1, 2, n // 4, int(rng.integers(3, n)), n}):
+        rows = np.array([rng.choice(n, size=k, replace=False) for _ in range(4)])
+        patterns = [tuple(row) for row in rows.tolist()]
+        assert score_batch(rows, slide).tolist() == [
+            score_sliding_window(p, slide, k) for p in patterns]
+        assert score_batch(rows, brute).tolist() == [
+            score_bruteforce(p, brute, k) for p in patterns]
+
+
+def test_score_batch_in_row_chunks_equals_scalar(grid37, budget37, params):
+    # 37 cells on a grid-wide window are 37 * 36 window entries per row, so
+    # 1000 rows are scored in two chunks.
+    rng = np.random.default_rng(83)
+    brute = build_ctx(grid37, budget37, params, rng.integers(0, 20000, 37).astype(float),
+                      beams=9, backend="bruteforce")
+    rows = np.array([rng.permutation(37) for _ in range(1000)])
+    assert score_batch(rows, brute).tolist() == [
+        score_bruteforce(tuple(row), brute, 37) for row in rows.tolist()]
+
+
+def test_score_batch_reuses_tables_on_new_backlog(ctx37):
+    rng = np.random.default_rng(79)
+    ctx = with_queue_totals(ctx37, rng.integers(0, 9000, 37).astype(float))
+    assert ctx.batch_window is ctx37.batch_window
+    assert ctx.batch_gain is ctx37.batch_gain
+    rows = np.array([rng.choice(37, size=9, replace=False) for _ in range(20)])
+    assert score_batch(rows, ctx).tolist() == [
+        score_sliding_window(tuple(row), ctx, 9) for row in rows.tolist()]
+
+
+def test_score_batch_rejects_bad_rows(ctx37):
+    with pytest.raises(ValueError):
+        score_batch(np.array([[1, 2, 3], [4, 4, 5]]), ctx37)
+    with pytest.raises(ValueError):
+        score_batch(np.array([[1, 2, 37]]), ctx37)
+    with pytest.raises(ValueError):
+        score_batch(np.array([[-1, 2, 3]]), ctx37)
+    with pytest.raises(ValueError):
+        score_batch(np.array([1, 2, 3]), ctx37)
