@@ -17,11 +17,20 @@ drawn with one ``argpartition`` over its key rows, scored with one
 ``score_batch`` call and backed up in iteration order, which is exactly the
 one-at-a-time search (leaf parallelization of the forced first visits, as in
 Cazenave & Jouandeau, "On the Parallelization of UCT", 2007). The UCT
-iterations after it run one at a time on the scalar scorer.
+iterations after it are scored in batches too, without changing any of
+them: a look-ahead predicts the leaves of the next iterations from the
+current tree (each predicted rollout standing in at its root child's mean),
+one ``score_batch`` call scores those leaves on their key rows, and the
+iterations then run one at a time on true scores, each taking the batched
+score if its real leaf is the predicted one. A miss drops the rest of the
+prediction; where predictions keep missing (deep trees, little
+exploration), they are only checked, not scored, and made ever more rarely,
+so those stages run on the scalar scorer as before.
 
-Each node keeps its unchosen cells, derived from its parent's, and the visit
-counts and score sums of its children in arrays indexed like its candidate
-list, so UCT over a fully expanded node is a handful of array operations.
+Each node keeps the visit counts and score sums of its children in arrays
+indexed like its candidate list, so UCT over a fully expanded node is a
+handful of array operations, and derives its unchosen cells from its
+parent's on first use.
 Nodes point to their children only: the descent records its path and the
 backup walks it, so a stage's tree holds no reference cycle and is freed as
 soon as the stage returns.
@@ -34,6 +43,8 @@ distance from already-chosen cells (less mutual interference).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +54,16 @@ from .scoring import ScoreContext, score_batch, score_pattern, with_queue_totals
 
 @dataclass(frozen=True)
 class MctsConfig:
+    """Search settings of every stage.
+
+    A stage's first ``min(max_iterations, root candidates)`` iterations
+    visit the root candidates once each, in ascending cell id, whatever
+    the scores. So with ``max_iterations`` at or below a stage's root
+    candidate count (unpruned: the unchosen cells), that stage only sweeps
+    the lowest ids and commits one of them: at 331 cells, 82 beams and 200
+    iterations no cell above id 280 is ever chosen, whatever the demand.
+    """
+
     max_iterations: int = 200
     exploration_constant: float = math.sqrt(2.0)
     pruning_enabled: bool = False
@@ -65,7 +86,8 @@ class SearchNode:
 
     __slots__ = (
         "prefix",
-        "remaining",
+        "_remaining",
+        "_parent_remaining",
         "slot",
         "children",
         "candidates",
@@ -75,10 +97,11 @@ class SearchNode:
         "score_sum",
     )
 
-    def __init__(self, prefix: tuple, remaining: list[int], slot: int = -1):
+    def __init__(self, prefix: tuple, remaining: list[int] | None, slot: int = -1):
         self.prefix = prefix
-        # Cells not in the prefix, ascending; never mutated once set.
-        self.remaining = remaining
+        # Cells not in the prefix, ascending; see :attr:`remaining`.
+        self._remaining = remaining
+        self._parent_remaining = None
         # This node's index in its parent's candidates (-1 at the root).
         self.slot = slot
         self.children: dict[int, SearchNode] = {}
@@ -90,6 +113,20 @@ class SearchNode:
         self.visit_count = 0
         self.score_sum = 0.0
 
+    @property
+    def remaining(self) -> list[int]:
+        """Cells not in the prefix, ascending; never mutated once set.
+
+        A child derives it from its parent's list on first use, so the many
+        nodes that are never expanded never copy it.
+        """
+        remaining = self._remaining
+        if remaining is None:
+            remaining = self._remaining = self._parent_remaining.copy()
+            del remaining[bisect_left(remaining, self.prefix[-1])]
+            self._parent_remaining = None
+        return remaining
+
     def expand(self, candidates: list[int]):
         """Record the sorted candidate actions and zero their child stats."""
         self.candidates = candidates
@@ -98,9 +135,8 @@ class SearchNode:
 
     def add_child(self, action: int) -> "SearchNode":
         """Create the child for the next candidate not yet tried, ``action``."""
-        remaining = self.remaining.copy()
-        remaining.remove(action)
-        child = SearchNode(self.prefix + (action,), remaining, len(self.children))
+        child = SearchNode(self.prefix + (action,), None, len(self.children))
+        child._parent_remaining = self.remaining
         self.children[action] = child
         return child
 
@@ -192,7 +228,7 @@ def simulate(node: SearchNode, ctx: ScoreContext, beams: int, keys) -> float:
     need = beams - len(prefix)
     if need == 0:
         return score_pattern(prefix, ctx, beams)
-    if need == len(node.remaining):
+    if need == ctx.grid.n_cells - len(prefix):
         return score_pattern(prefix + tuple(node.remaining), ctx, beams)
     keys = keys.copy()
     keys[list(prefix)] = np.inf
@@ -221,14 +257,54 @@ def backup(path: list[SearchNode], score: float):
         parent = node
 
 
+def _candidates(node: SearchNode, ctx: ScoreContext, cfg: MctsConfig, beams: int) -> list:
+    """The sorted actions an expansion of ``node`` records."""
+    if not cfg.pruning_enabled:
+        return node.remaining
+    width = cfg.prune_width if cfg.prune_width is not None else beams
+    return sorted(pruned_actions(
+        node.remaining, node.prefix, ctx.queue_totals, ctx.grid, width
+    ))
+
+
 def _expand(node: SearchNode, ctx: ScoreContext, cfg: MctsConfig, beams: int):
-    candidates = node.remaining
-    if cfg.pruning_enabled:
-        width = cfg.prune_width if cfg.prune_width is not None else beams
-        candidates = sorted(pruned_actions(
-            candidates, node.prefix, ctx.queue_totals, ctx.grid, width
-        ))
-    node.expand(candidates)
+    node.expand(_candidates(node, ctx, cfg, beams))
+
+
+# UCT-phase look-ahead: the first request, the largest request, and the
+# shortest prediction worth making; predictions are scored in a batch only
+# while recent runs of hits average at least AHEAD_MIN.
+AHEAD_FIRST = 32
+AHEAD_MAX = 128
+AHEAD_MIN = 16
+
+
+class Pace:
+    """How far the UCT phase looks ahead and whether it scores its
+    predictions, learned from how long they held; carried from one stage of
+    a pattern to the next."""
+
+    __slots__ = ("run", "size", "wait", "max_wait")
+
+    def __init__(self, max_wait: int):
+        self.run = float(AHEAD_MIN)  # running mean of hits per prediction
+        self.size = AHEAD_FIRST  # iterations the next prediction covers
+        self.wait = 0  # iterations between an untrusted prediction and the next
+        self.max_wait = max_wait
+
+    @property
+    def trusted(self) -> bool:
+        return self.run >= AHEAD_MIN
+
+    def held(self, hits: int, whole: bool) -> int:
+        """Record a prediction that held for ``hits`` iterations (``whole``:
+        all of it); returns the iterations to wait before the next one,
+        twice as many after each untrusted prediction."""
+        self.run = (self.run + hits) / 2
+        grown = 2 * self.size if whole else max(AHEAD_MIN, hits + AHEAD_MIN // 2)
+        self.size = min(AHEAD_MAX, grown)
+        self.wait = 0 if self.trusted else min(max(1, 2 * self.wait), self.max_wait)
+        return self.wait
 
 
 def run_single_stage(
@@ -238,12 +314,24 @@ def run_single_stage(
     cfg: MctsConfig,
     rng,
     trace_scores: list | None = None,
+    pace: Pace | None = None,
 ) -> tuple[int, SearchNode]:
     """One search stage: fix the next cell given an already-committed prefix.
 
     Returns (committed action, root) — the root is handed back so callers
     can audit visit counts and subtree score sums.
+
+    The UCT iterations run one at a time on true scores, so every choice is
+    the one-at-a-time search's; only where their rollouts are scored
+    changes. :func:`_look_ahead` predicts the leaves of the next
+    iterations from the current tree and, while ``pace`` trusts its
+    predictions, one :func:`score_batch` call scores them on their key
+    rows. An iteration whose real leaf is the predicted one takes the
+    batched score; any other is scored alone and drops the rest of the
+    prediction. An untrusted prediction (a probe) is only checked against
+    the search, and the next one waits twice as long.
     """
+    pace = pace or Pace(cfg.max_iterations)
     prefix = tuple(prefix)
     chosen = set(prefix)
     n = ctx.grid.n_cells
@@ -252,51 +340,142 @@ def run_single_stage(
     root = SearchNode(prefix, remaining)
     _expand(root, ctx, cfg, beams)
     swept = min(len(root.candidates), cfg.max_iterations)
+    children = [root.add_child(a) for a in root.candidates[:swept]]
     for child, score in zip(
-        [root.add_child(a) for a in root.candidates[:swept]],
-        _sweep_scores(ctx, prefix, root.candidates[:swept], beams, keys[:swept]),
+        children, _rollout_scores(ctx, [c.prefix for c in children], beams, keys[:swept])
     ):
         backup([root, child], score)
         if trace_scores is not None:
             trace_scores.append(score)
     c = cfg.exploration_constant
+    # Expansions made by a prediction, kept off their nodes until the
+    # search reaches them.
+    planned: dict[SearchNode, list] = {}
+
+    def candidates_of(node):
+        cands = planned.get(node)
+        if cands is None:
+            cands = planned[node] = _candidates(node, ctx, cfg, beams)
+        return cands
+
+    ahead: list[tuple] = []  # predicted leaves of iterations start, start + 1, ...
+    ahead_scores = None  # their batched rollout scores; None for a probe
+    hits = 0
+    retry_at = swept + pace.wait
     for t in range(swept, cfg.max_iterations):
+        if hits == len(ahead) and t >= retry_at:
+            ahead, hits = [], 0
+            want = min(pace.size, cfg.max_iterations - t)
+            if want < AHEAD_MIN:  # too few iterations left to batch
+                retry_at = cfg.max_iterations
+            elif len(ahead := _look_ahead(root, want, c, beams, candidates_of)) < AHEAD_MIN:
+                retry_at = t + pace.held(len(ahead), False)
+                ahead = []
+            elif pace.trusted:
+                ahead_scores = _rollout_scores(ctx, ahead, beams, keys[t : t + len(ahead)])
+            else:
+                ahead_scores = None
         node = root
         path = [root]
         while not node.is_terminal(beams):
             if node.visit_count == 0:
                 break  # fresh leaf: roll out before growing below it
             if not node.candidates:
-                _expand(node, ctx, cfg, beams)
+                cands = planned.pop(node, None)
+                if cands is None:
+                    _expand(node, ctx, cfg, beams)
+                else:
+                    node.expand(cands)
             action = uct_select(node, c)
             child = node.children.get(action)
             if child is None:
                 child = node.add_child(action)
             node = child
             path.append(node)
-        score = simulate(node, ctx, beams, keys[t])
+        if hits < len(ahead) and ahead[hits] == node.prefix:
+            if ahead_scores is None:
+                score = simulate(node, ctx, beams, keys[t])
+            else:
+                score = ahead_scores[hits]
+            hits += 1
+            if hits == len(ahead):
+                retry_at = t + 1 + pace.held(hits, True)
+        else:
+            if ahead:
+                retry_at = t + 1 + pace.held(hits, False)
+                ahead, hits = [], 0
+            score = simulate(node, ctx, beams, keys[t])
         backup(path, score)
         if trace_scores is not None:
             trace_scores.append(score)
     return _commit(root), root
 
 
-def _sweep_scores(ctx: ScoreContext, prefix: tuple, actions: list, beams: int, keys):
-    """Rollout scores of the root's first visits, one per action, in one batch.
+def _look_ahead(root: SearchNode, visits: int, c: float, beams: int, candidates_of) -> list:
+    """Predicted leaf prefixes of the next ``visits`` UCT iterations.
 
-    Row t completes ``prefix + (actions[t],)`` by key row t, the rule of
-    :func:`simulate`, and all rows are scored by one :func:`score_batch`.
+    Each predicted rollout is taken to score its root child's current mean,
+    so a child's mean stays fixed and its UCT value falls with its visits
+    alone. With the log of the root's visit count also held at its current
+    value, UCT at the fully swept root is a merge of the children's falling
+    value sequences: one sort of a children x visits table, ties to the
+    lower slot as in :func:`uct_select`, so the first choice is the real
+    one. Below the root a prediction follows only the untried candidates
+    of each child (or stays at a terminal child), and stops short where a
+    child would need UCT of its own. No real node is changed;
+    ``candidates_of`` supplies (and keeps) expansions.
     """
-    head = np.empty((len(actions), len(prefix) + 1), dtype=np.int64)
-    head[:, :-1] = prefix
-    head[:, -1] = actions
-    need = beams - head.shape[1]
-    if need:
-        keys = keys.copy()
-        keys[:, list(prefix)] = np.inf
-        keys[np.arange(len(actions)), actions] = np.inf
-        head = np.concatenate([head, _smallest(keys, need)], axis=1)
-    return score_batch(head, ctx).tolist()
+    child_visits = root.child_visits
+    log_n = math.log(root.visit_count) if root.visit_count > 1 else 0.0
+    values = (root.child_sums / child_visits)[:, None] + c * np.sqrt(
+        log_n / (child_visits[:, None] + np.arange(visits))
+    )
+    flat = -values.ravel()
+    top = np.flatnonzero(flat <= np.partition(flat, visits - 1)[visits - 1])
+    order = (top[np.lexsort((top, flat[top]))][:visits] // visits).tolist()
+    below = {
+        slot: iter(_fresh_leaves(root.children[root.candidates[slot]], k, beams, candidates_of))
+        for slot, k in Counter(order).items()
+    }
+    out = []
+    for slot in order:
+        leaf = next(below[slot], None)
+        if leaf is None:
+            break
+        out.append(leaf)
+    return out
+
+
+def _fresh_leaves(node: SearchNode, visits: int, beams: int, candidates_of) -> list:
+    """Leaf prefixes of the next ``visits`` descents into a visited ``node``
+    while it has untried candidates: one new child each, in candidate
+    order, or the node itself if it is terminal."""
+    if len(node.prefix) >= beams:
+        return [node.prefix] * visits
+    cands = node.candidates or candidates_of(node)
+    tried = len(node.children)
+    return [node.prefix + (a,) for a in cands[tried : tried + visits]]
+
+
+def _rollout_scores(ctx: ScoreContext, leaves: list, beams: int, keys) -> list[float]:
+    """Rollout scores of the leaf prefixes ``leaves``, in one batch.
+
+    Row t completes ``leaves[t]`` by key row t, the rule of
+    :func:`simulate`; leaves of one depth are completed together and all
+    rows are scored by one :func:`score_batch` call.
+    """
+    patterns = np.empty((len(leaves), beams), dtype=np.int64)
+    by_depth: dict[int, list[int]] = {}
+    for row, leaf in enumerate(leaves):
+        by_depth.setdefault(len(leaf), []).append(row)
+    for depth, rows in by_depth.items():
+        head = np.array([leaves[r] for r in rows], dtype=np.int64)
+        patterns[rows, :depth] = head
+        if depth < beams:
+            block = keys[rows]
+            block[np.arange(len(rows))[:, None], head] = np.inf
+            patterns[rows, depth:] = _smallest(block, beams - depth)
+    return score_batch(patterns, ctx).tolist()
 
 
 def _commit(root: SearchNode) -> int:
@@ -330,10 +509,11 @@ def compute_pattern_mcts_traced(
     out = MctsTrace()
     scores = out.iteration_scores
     prefix: tuple = ()
+    pace = Pace(cfg.max_iterations)
     for stage in range(beams):
         rng = np.random.default_rng(seeds[stage])
         start = len(scores)
-        action, _ = run_single_stage(ctx, prefix, beams, cfg, rng, scores)
+        action, _ = run_single_stage(ctx, prefix, beams, cfg, rng, scores, pace)
         out.stage_bounds.append((start, len(scores)))
         prefix = prefix + (action,)
     out.committed = prefix

@@ -310,7 +310,7 @@ def score_batch(patterns, ctx: ScoreContext) -> np.ndarray:
     0.0 is exact), which is the scalar scorers' pair set and summation
     order. The tail repeats :func:`_served_bits` operation for operation,
     with ``math.log2`` per element (``np.log2`` may differ in the last
-    bit), and sums each row's cells column by column in x-rank order.
+    bit), and sums each row's cells term by term in x-rank order.
     """
     patterns = np.asarray(patterns, dtype=np.int64)
     if patterns.ndim != 2:
@@ -336,9 +336,12 @@ def score_batch(patterns, ctx: ScoreContext) -> np.ndarray:
     windows = ctx.batch_window[cells]
     member = served[rows[:, :, None], windows]
     gains = np.where(member, ctx.batch_gain[cells], 0.0)
+    # ``accumulate`` adds term by term in order (no pairwise summation), so
+    # its last column is the scalar left-to-right sum; every term is >= 0,
+    # so starting from the first term equals starting from 0.0.
     acc = np.zeros(cells.shape)
-    for j in range(gains.shape[2]):
-        acc = acc + gains[:, :, j]
+    if gains.shape[2]:
+        acc = np.add.accumulate(gains, axis=2)[:, :, -1]
     power = ctx.params.beam_power_w
     ratio = power * ctx.budget.gain2.diagonal()[cells] / (ctx.budget.noise_power_w + power * acc)
     log_terms = (1.0 + ratio).ravel().tolist()
@@ -347,8 +350,8 @@ def score_batch(patterns, ctx: ScoreContext) -> np.ndarray:
     backlog_bits = ctx.queue_totals[cells] * ctx.packet_bits
     bits = np.where(deliverable < backlog_bits, deliverable, backlog_bits)
     total = np.zeros(len(cells))
-    for k in range(bits.shape[1]):
-        total = total + bits[:, k]
+    if bits.shape[1]:
+        total = np.add.accumulate(bits, axis=1)[:, -1]
     return total / ctx.omega_max
 
 

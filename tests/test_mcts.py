@@ -26,6 +26,8 @@ from hoplite.scoring import score_sliding_window, with_queue_totals
 
 from conftest import build_ctx
 
+SQRT2 = math.sqrt(2.0)
+
 
 def selection_value(cell, selected, queue_totals, grid, d_max=None) -> float:
     """Scalar oracle of ``selection_values``: backlog share plus normalized
@@ -48,8 +50,9 @@ def selection_value(cell, selected, queue_totals, grid, d_max=None) -> float:
 def rollouts(monkeypatch):
     """Per node id, the scores of the rollouts launched from that node.
 
-    Every rollout, batched in the root sweep or not, is backed up once along
-    its root-to-leaf path, so the path's last node is where it started.
+    Every rollout, batched (root sweep, UCT look-ahead) or not, is backed up
+    once along its root-to-leaf path, so the path's last node is where it
+    started.
     """
     launched = {}
     add = mcts.backup
@@ -258,7 +261,7 @@ def test_rollout_takes_unchosen_cells_with_smallest_keys(ctx37):
     assert simulate(node, ctx37, 9, keys) == expect
 
 
-# -- batched root sweep -----------------------------------------------------------
+# -- batched stage ----------------------------------------------------------------
 
 
 def stage_one_at_a_time(ctx, prefix, beams, cfg, rng, trace_scores):
@@ -298,26 +301,53 @@ def same_tree(a, b):
 
 
 @pytest.mark.parametrize(
-    "prefix, iterations, pruning",
-    [((), 20, False), ((), 60, False), ((4, 11), 15, False), ((4, 11), 90, False),
-     ((), 3, True), ((), 40, True), ((7,), 40, True),
-     (tuple(range(0, 32, 4)), 50, False), (tuple(range(0, 32, 4)), 10, True)],
+    "ctx_name, beams, prefix, iterations, pruning, width, c",
+    [("ctx37", 9, (), 20, False, None, SQRT2), ("ctx37", 9, (), 60, False, None, SQRT2),
+     ("ctx37", 9, (4, 11), 15, False, None, SQRT2),
+     ("ctx37", 9, (4, 11), 90, False, None, SQRT2),
+     ("ctx37", 9, (), 3, True, None, SQRT2), ("ctx37", 9, (), 40, True, None, SQRT2),
+     ("ctx37", 9, (7,), 40, True, None, SQRT2),
+     ("ctx37", 9, tuple(range(0, 32, 4)), 50, False, None, SQRT2),
+     ("ctx37", 9, tuple(range(0, 32, 4)), 10, True, None, SQRT2),
+     ("ctx127", 31, (), 200, False, None, SQRT2),
+     ("ctx127", 31, (5, 60, 99), 200, False, None, SQRT2),
+     ("ctx37", 9, (), 400, True, 18, 0.5), ("ctx37", 9, (3, 30), 400, True, 18, 0.5),
+     ("ctx37", 9, (), 200, False, None, 0.0),
+     ("ctx37", 9, tuple(range(0, 32, 4)), 120, False, None, SQRT2),
+     ("ctx37", 9, tuple(range(0, 32, 4)), 120, True, 18, 0.5),
+     ("ctx37", 9, (), 37, False, None, SQRT2), ("ctx37", 9, (), 18, True, 18, 0.5)],
     ids=["plain_below", "plain_above", "prefix_below", "prefix_above", "pruned_below",
-         "pruned_above", "pruned_prefix", "last_stage", "last_stage_pruned"],
+         "pruned_above", "pruned_prefix", "last_stage", "last_stage_pruned",
+         "rings6_uct", "rings6_uct_prefix", "gates_uct", "gates_uct_prefix", "c0_uct",
+         "last_stage_uct", "last_stage_pruned_uct", "sweep_only", "sweep_only_pruned"],
 )
-def test_batched_sweep_matches_one_iteration_at_a_time(ctx37, prefix, iterations, pruning):
-    # Below the root candidate count (37 - len(prefix) plain, 9 pruned) the
-    # whole stage is the sweep; above it the UCT phase follows. A prefix of
-    # 8 cells makes the stage the last one, whose rollouts draw nothing.
-    cfg = MctsConfig(max_iterations=iterations, pruning_enabled=pruning)
+def test_batched_sweep_matches_one_iteration_at_a_time(
+    request, monkeypatch, ctx_name, beams, prefix, iterations, pruning, width, c
+):
+    # Below the root candidate count (the unchosen cells plain, the width
+    # pruned) the whole stage is the sweep; above it the UCT phase follows,
+    # whose predicted leaves are scored in batches and replayed on true
+    # scores: a prediction that misses (c = 0 forces many; deep pruned
+    # trees at c = 0.5 too) may cost time only. A prefix of beams - 1 cells
+    # makes the stage the last one, whose root children are terminal.
+    ctx = request.getfixturevalue(ctx_name)
+    cfg = MctsConfig(max_iterations=iterations, exploration_constant=c,
+                     pruning_enabled=pruning, prune_width=width)
     ref_scores, got_scores = [], []
     ref_action, ref_root = stage_one_at_a_time(
-        ctx37, prefix, 9, cfg, np.random.default_rng(61), ref_scores)
+        ctx, prefix, beams, cfg, np.random.default_rng(61), ref_scores)
+    scalar = []
+    rollout = mcts.simulate
+    monkeypatch.setattr(mcts, "simulate", lambda *a: scalar.append(1) or rollout(*a))
     action, root = run_single_stage(
-        ctx37, prefix, 9, cfg, np.random.default_rng(61), got_scores)
+        ctx, prefix, beams, cfg, np.random.default_rng(61), got_scores)
     assert action == ref_action
     assert [s.hex() for s in got_scores] == [s.hex() for s in ref_scores]
     same_tree(root, ref_root)
+    if ctx_name == "ctx127":
+        # Shallow unpruned trees are predictable: most of the UCT phase is
+        # scored in batches.
+        assert len(scalar) < (iterations - len(root.candidates)) / 2
 
 
 # -- pruning heuristic ----------------------------------------------------------
