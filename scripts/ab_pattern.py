@@ -18,10 +18,15 @@ Configurations (cells, beams, iterations per stage, search settings):
     gates  37 cells,  9 beams, 400 iterations, pruned to width 18, c = 0.5
            (the search settings of ACCEPTANCE-05 and -08)
 
-    python scripts/ab_pattern.py --parent ../parent --change . [--configs 37 gates]
+    python scripts/ab_pattern.py --parent ../parent --change . [--configs 37 gates] [--split]
 
 Prints per configuration the per-pair ratios and their median and
 quartiles. Exits 1 if any pair's patterns or rollout-score traces differ.
+With ``--split``, each side's ``hoplite.mcts`` functions that score and
+predict are wrapped to add up their CPU time, and a pattern's median time
+is also printed split into ``score_batch``, the rest of ``_rollout_scores``
+(rollout set-up), ``_look_ahead``, the root check ``_root_run`` (where the
+tree has it) and the rest (descent, UCT, backup and scalar rollouts).
 """
 
 from __future__ import annotations
@@ -61,6 +66,11 @@ def load_tree(tree: Path, name: str):
     return package
 
 
+# Functions of ``hoplite.mcts`` timed by --split; score_batch runs inside
+# _rollout_scores.
+SPLIT = ("score_batch", "_rollout_scores", "_look_ahead", "_root_run")
+
+
 class Side:
     """One tree's search entry point and a scoring context for one config."""
 
@@ -79,6 +89,38 @@ class Side:
             omega_max=scoring.omega_max_for(budget, params, spec["beams"], 0.1),
         )
         self.spec = spec
+        self.spent = None
+
+    def time_parts(self):
+        """Wrap the :data:`SPLIT` functions this tree has so that each adds
+        its CPU time to ``self.spent``."""
+        self.spent = dict.fromkeys(SPLIT, 0.0)
+        for name in SPLIT:
+            inner = getattr(self.mcts, name, None)
+            if inner is None:
+                continue
+
+            def timed(*args, _inner=inner, _name=name):
+                t0 = time.process_time()
+                try:
+                    return _inner(*args)
+                finally:
+                    self.spent[_name] += time.process_time() - t0
+
+            setattr(self.mcts, name, timed)
+
+    def parts(self, elapsed: float) -> dict:
+        """The last run's ``elapsed`` CPU time split by layer; zeroes the sums."""
+        spent = self.spent
+        self.spent = dict.fromkeys(SPLIT, 0.0)
+        return {
+            "score_batch": spent["score_batch"],
+            "rollout set-up": spent["_rollout_scores"] - spent["score_batch"],
+            "look-ahead": spent["_look_ahead"],
+            "root check": spent["_root_run"],
+            "rest": elapsed - spent["_rollout_scores"] - spent["_look_ahead"]
+            - spent["_root_run"],
+        }
 
     def run(self, seed: int):
         spec = self.spec
@@ -101,11 +143,14 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def compare(name: str, spec: dict, pairs: int, seed: int) -> bool:
+def compare(name: str, spec: dict, pairs: int, seed: int, split: bool) -> bool:
     sides = {side: Side(f"ab_{side}", spec, seed) for side in ("parent", "change")}
     for side in sides.values():
         side.run(seed)  # warm-up: first-use tables, imports, caches
+        if split:
+            side.time_parts()
     ratios, times, same = [], {"parent": [], "change": []}, True
+    parts = {"parent": [], "change": []}
     for i in range(pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         out = {}
@@ -113,6 +158,8 @@ def compare(name: str, spec: dict, pairs: int, seed: int) -> bool:
             elapsed, result = sides[side].run(seed + i)
             times[side].append(elapsed)
             out[side] = result
+            if split:
+                parts[side].append(sides[side].parts(elapsed))
         if out["parent"] != out["change"]:
             same = False
             print(f"{name} pair {i} (rng_seed {seed + i}): outputs differ", flush=True)
@@ -123,6 +170,11 @@ def compare(name: str, spec: dict, pairs: int, seed: int) -> bool:
           f"change {1e3 * statistics.median(times['change']):.1f}; "
           f"outputs {'identical' if same else 'DIFFER'}")
     print(f"{name} ratios: " + " ".join(f"{r:.3f}" for r in ratios), flush=True)
+    for side, runs in parts.items():
+        if runs:
+            print(f"{name} {side} split, median CPU ms: " + ", ".join(
+                f"{part} {1e3 * statistics.median(run[part] for run in runs):.1f}"
+                for part in runs[0]), flush=True)
     return same
 
 
@@ -135,6 +187,8 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=None,
                         help="pairs per configuration (default: per-config)")
     parser.add_argument("--seed", type=int, default=0, help="demand and first search seed")
+    parser.add_argument("--split", action="store_true",
+                        help="also print each side's CPU time split by layer")
     args = parser.parse_args(argv)
 
     load_tree(args.parent, "ab_parent")
@@ -142,7 +196,7 @@ def main(argv=None) -> int:
     ok = True
     for name in args.configs:
         spec = CONFIGS[name]
-        ok &= compare(name, spec, args.pairs or spec["pairs"], args.seed)
+        ok &= compare(name, spec, args.pairs or spec["pairs"], args.seed, args.split)
     return 0 if ok else 1
 
 

@@ -7,12 +7,14 @@ change in behaviour:
     PYTHONPATH=<tree>/src python scripts/digest_outputs.py [OUT.json]
 
 Sections:
-  rings<r>.*   both scorers on 1800 seeded patterns (Ds of 1, 3 and 100 cell
-               diameters), and `score_batch` on the same patterns with each
-               backend (`batch_sliding`, `batch_brute`; the script exits
-               non-zero unless they equal the scalar scores bit for bit),
-               plain and pruned MCTS patterns, greedy and MCTS plans, on 20
-               demand vectors at rings 3 and at rings 6;
+  rings<r>.*   both scorers on 3000 seeded patterns (Ds of 0, 1, 1.5, 3 and 100
+               cell diameters: the empty window, both sides of the subset
+               table's window limit and the whole grid), and `score_batch`
+               on the same patterns with each backend (`batch_sliding`,
+               `batch_brute`; the script exits non-zero unless they equal
+               the scalar scores bit for bit), plain and pruned MCTS
+               patterns, greedy and MCTS plans, on 20 demand vectors at
+               rings 3 and at rings 6;
   run_all.*    every sweep of `run_all` on a small config, once with defaults
                and once with pruning, prune_width=4 and the brute-force
                backend (timing columns stripped);
@@ -91,13 +93,13 @@ def scorers_and_plans(out: dict) -> list[str]:
             rates = scaled_demand(grid, 0.6 + 0.05 * i, beams, c0, cfg, seed=1000 + i)
             totals = np.rint(rates * 3)
             mc = MctsConfig(max_iterations=40, rng_seed=(rings, i))
-            for ds in (1.0, 3.0, 100.0):
+            for ds in (0.0, 1.0, 1.5, 3.0, 100.0):
                 ctx, brute_ctx = (
                     make_score_context(grid, budget, PARAMS, totals,
                                        ds_km=ds * grid.cell_diameter, backend=backend,
                                        omega_max=omega_max_for(budget, PARAMS, beams, 0.1))
                     for backend in ("sliding", "bruteforce"))
-                rng = np.random.default_rng((rings, i, int(ds)))
+                rng = np.random.default_rng((rings, i, int(2 * ds)))
                 patterns = []
                 for _ in range(30):
                     p = tuple(int(c) for c in rng.choice(n, size=beams, replace=False))

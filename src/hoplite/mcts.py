@@ -22,10 +22,14 @@ them: a look-ahead predicts the leaves of the next iterations from the
 current tree (each predicted rollout standing in at its root child's mean),
 one ``score_batch`` call scores those leaves on their key rows, and the
 iterations then run one at a time on true scores, each taking the batched
-score if its real leaf is the predicted one. A miss drops the rest of the
-prediction; where predictions keep missing (deep trees, little
-exploration), they are only checked, not scored, and made ever more rarely,
-so those stages run on the scalar scorer as before.
+score if its real leaf is the predicted one. Once a prediction is scored,
+every input of the root's next UCT choices is known, so one array pass
+finds how many of them are the predicted ones (:func:`_root_run`); those
+iterations take their root child from the prediction instead of calling
+``uct_select``, and descend, roll out and back up below it as before. A
+miss drops the rest of the prediction; where predictions keep missing (deep
+trees, little exploration), they are only checked, not scored, and made
+ever more rarely, so those stages run on the scalar scorer as before.
 
 Each node keeps the visit counts and score sums of its children in arrays
 indexed like its candidate list, so UCT over a fully expanded node is a
@@ -326,8 +330,10 @@ def run_single_stage(
     changes. :func:`_look_ahead` predicts the leaves of the next
     iterations from the current tree and, while ``pace`` trusts its
     predictions, one :func:`score_batch` call scores them on their key
-    rows. An iteration whose real leaf is the predicted one takes the
-    batched score; any other is scored alone and drops the rest of the
+    rows, and :func:`_root_run` finds how many of them UCT at the root
+    chooses too; those take their root child from the prediction. An
+    iteration whose real leaf is the predicted one takes the batched
+    score; any other is scored alone and drops the rest of the
     prediction. An untrusted prediction (a probe) is only checked against
     the search, and the next one waits twice as long.
     """
@@ -361,10 +367,12 @@ def run_single_stage(
     ahead: list[tuple] = []  # predicted leaves of iterations start, start + 1, ...
     ahead_scores = None  # their batched rollout scores; None for a probe
     hits = 0
+    checked = 0  # leading predictions whose root choice is the true one
+    depth = len(prefix)
     retry_at = swept + pace.wait
     for t in range(swept, cfg.max_iterations):
         if hits == len(ahead) and t >= retry_at:
-            ahead, hits = [], 0
+            ahead, hits, checked = [], 0, 0
             want = min(pace.size, cfg.max_iterations - t)
             if want < AHEAD_MIN:  # too few iterations left to batch
                 retry_at = cfg.max_iterations
@@ -373,10 +381,15 @@ def run_single_stage(
                 ahead = []
             elif pace.trusted:
                 ahead_scores = _rollout_scores(ctx, ahead, beams, keys[t : t + len(ahead)])
+                checked = _root_run(
+                    root, [root.children[leaf[depth]].slot for leaf in ahead], ahead_scores, c
+                )
             else:
                 ahead_scores = None
-        node = root
-        path = [root]
+        # Past the sweep every root child exists and has been visited.
+        action = ahead[hits][depth] if hits < checked else uct_select(root, c)
+        node = root.children[action]
+        path = [root, node]
         while not node.is_terminal(beams):
             if node.visit_count == 0:
                 break  # fresh leaf: roll out before growing below it
@@ -403,7 +416,7 @@ def run_single_stage(
         else:
             if ahead:
                 retry_at = t + 1 + pace.held(hits, False)
-                ahead, hits = [], 0
+                ahead, hits, checked = [], 0, 0
             score = simulate(node, ctx, beams, keys[t])
         backup(path, score)
         if trace_scores is not None:
@@ -444,6 +457,32 @@ def _look_ahead(root: SearchNode, visits: int, c: float, beams: int, candidates_
             break
         out.append(leaf)
     return out
+
+
+def _root_run(root: SearchNode, slots: list, scores: list, c: float) -> int:
+    """How many of the next iterations choose root child ``slots[i]`` by
+    :func:`uct_select`, each backing up ``scores[i]`` below that child.
+
+    Row i holds the root's child statistics before iteration i: the visits
+    and score sums accumulated over rows 0..i-1 in order, which is what
+    :func:`backup`'s ``+=`` gives bit for bit (adding 0.0 is exact). Each
+    row's UCT values use the same operations as :func:`uct_select`, and the
+    first argmax is its choice; the run ends at the first row whose choice
+    is not ``slots[i]``. Needs a fully swept root.
+    """
+    rows = len(slots)
+    visits = np.zeros((rows, len(root.candidates)))
+    sums = np.zeros_like(visits)
+    visits[0], sums[0] = root.child_visits, root.child_sums
+    visits[np.arange(1, rows), slots[:-1]] = 1.0
+    sums[np.arange(1, rows), slots[:-1]] = scores[:-1]
+    np.add.accumulate(visits, axis=0, out=visits)
+    np.add.accumulate(sums, axis=0, out=sums)
+    n = root.visit_count
+    log_n = np.array([math.log(n + i) if n + i > 1 else 0.0 for i in range(rows)])
+    values = sums / visits + c * np.sqrt(log_n[:, None] / visits)
+    misses = np.flatnonzero(values.argmax(axis=1) != slots)
+    return int(misses[0]) if misses.size else rows
 
 
 def _fresh_leaves(node: SearchNode, visits: int, beams: int, candidates_of) -> list:

@@ -16,6 +16,14 @@ overhead would otherwise dwarf the per-interferer work these backends differ
 in, making the asymptotic win invisible at desk scale. :func:`score_batch`
 scores many patterns at once on a padded per-cell window table built with
 the context, and equals :func:`score_pattern` on every row bit for bit.
+Where every window holds at most ``TABLE_WINDOW_MAX`` cells (6 at the
+default Ds of one cell diameter, none at Ds = 0), it looks each served
+cell's deliverable bits up in a per-cell subset table instead: one entry
+per cell and subset of its window, each summed in window order and passed
+through ``math.log2`` like the scalar scorers do. The table is built on the
+first batch and shared by every context :func:`with_queue_totals` derives.
+Wider windows (Ds of 1.5 diameters and up, or the whole grid for
+"bruteforce") sum each served cell's co-served window gains instead.
 """
 
 from __future__ import annotations
@@ -30,6 +38,9 @@ from .channel import LinkBudget, LinkParams, boresight_snr
 from .geometry import CellGrid
 
 BACKENDS = ("bruteforce", "sliding")
+# Widest window :func:`score_batch` scores from the per-cell subset table
+# (2**width entries per cell); wider windows sum their gains per row.
+TABLE_WINDOW_MAX = 8
 
 
 @dataclass(frozen=True)
@@ -66,6 +77,9 @@ class ScoreContext:
     # the pads).
     batch_window: np.ndarray = field(repr=False, default=None)
     batch_gain: np.ndarray = field(repr=False, default=None)
+    # Tables built on first use, shared by every context derived from this
+    # one: "subset_bits", the n x 2**W table of :func:`_subset_bits`.
+    lazy: dict = field(repr=False, default_factory=dict)
 
     def __post_init__(self):
         if self.omega_max <= 0:
@@ -305,19 +319,23 @@ def score_sliding_window(
 def score_batch(patterns, ctx: ScoreContext) -> np.ndarray:
     """:func:`score_pattern` of every row of a B x K array of cells, bit for bit.
 
-    Each row is taken in x-rank order; each served cell adds its padded
-    window's gains in window order, 0.0 for a cell not co-served (adding
-    0.0 is exact), which is the scalar scorers' pair set and summation
-    order. The tail repeats :func:`_served_bits` operation for operation,
-    with ``math.log2`` per element (``np.log2`` may differ in the last
-    bit), and sums each row's cells term by term in x-rank order.
+    Each row is taken in x-rank order, and each served cell reads which
+    cells of its padded window are co-served. With at most
+    ``TABLE_WINDOW_MAX`` window cells, those flags form the cell's subset
+    mask, and its deliverable bits are the subset table's entry. Otherwise
+    the cell adds its window's gains in window order, 0.0 for a cell not
+    co-served (adding 0.0 is exact), which is the scalar scorers' pair set
+    and summation order, and :func:`_shannon_bits` turns the sum into bits.
+    Either way the backlog cap follows, and each row's cells are summed
+    term by term in x-rank order.
     """
     patterns = np.asarray(patterns, dtype=np.int64)
     if patterns.ndim != 2:
         raise ValueError("patterns must be a B x K array")
     # Rows are independent: score them in chunks of about 2**20 window
     # entries, so a grid-wide window on a large grid stays a few tens of MB.
-    step = max(1, (1 << 20) // max(1, patterns.shape[1] * ctx.batch_window.shape[1]))
+    width = ctx.batch_window.shape[1]
+    step = max(1, (1 << 20) // max(1, patterns.shape[1] * width))
     if len(patterns) > step:
         return np.concatenate(
             [score_batch(patterns[i : i + step], ctx) for i in range(0, len(patterns), step)]
@@ -325,34 +343,65 @@ def score_batch(patterns, ctx: ScoreContext) -> np.ndarray:
     n = ctx.grid.n_cells
     if patterns.size and (patterns.min() < 0 or patterns.max() >= n):
         raise ValueError("pattern cell out of range")
-    ranks = np.asarray(ctx.rank_list)[patterns]
-    order = np.argsort(ranks, axis=1)
-    if (np.diff(np.take_along_axis(ranks, order, axis=1), axis=1) == 0).any():
+    ranks = np.sort(np.asarray(ctx.rank_list)[patterns], axis=1)
+    if (ranks[:, 1:] == ranks[:, :-1]).any():
         raise ValueError("pattern has duplicate cells")
-    cells = np.take_along_axis(patterns, order, axis=1)
-    rows = np.arange(len(cells))[:, None]
-    served = np.zeros((len(cells), n + 1), dtype=bool)
-    served[rows, cells] = True
-    windows = ctx.batch_window[cells]
-    member = served[rows[:, :, None], windows]
-    gains = np.where(member, ctx.batch_gain[cells], 0.0)
-    # ``accumulate`` adds term by term in order (no pairwise summation), so
-    # its last column is the scalar left-to-right sum; every term is >= 0,
-    # so starting from the first term equals starting from 0.0.
-    acc = np.zeros(cells.shape)
-    if gains.shape[2]:
+    cells = ctx.grid.sorted_by_x[ranks]
+    # One row of n + 1 served flags per pattern, flattened; the window
+    # pads point at the never-served flag n.
+    offsets = np.arange(0, len(cells) * (n + 1), n + 1)[:, None]
+    served = np.zeros(len(cells) * (n + 1), dtype=np.uint8)
+    served[offsets + cells] = 1
+    windows = ctx.batch_window.take(cells, axis=0)
+    member = served.take(windows + offsets[:, :, None])
+    if width <= TABLE_WINDOW_MAX:
+        table = ctx.lazy.get("subset_bits")
+        if table is None:
+            table = ctx.lazy["subset_bits"] = _subset_bits(ctx)
+        # 0/1 flags times distinct powers of two: at most 255, no overflow.
+        masks = member @ (1 << np.arange(width)).astype(np.uint8)
+        deliverable = table[cells, masks]
+    else:
+        gains = member * ctx.batch_gain.take(cells, axis=0)
+        # ``accumulate`` adds term by term in order (no pairwise summation),
+        # so its last column is the scalar left-to-right sum; every term is
+        # >= 0, so starting from the first term equals starting from 0.0.
         acc = np.add.accumulate(gains, axis=2)[:, :, -1]
-    power = ctx.params.beam_power_w
-    ratio = power * ctx.budget.gain2.diagonal()[cells] / (ctx.budget.noise_power_w + power * acc)
-    log_terms = (1.0 + ratio).ravel().tolist()
-    lg = np.fromiter(map(math.log2, log_terms), float, len(log_terms)).reshape(ratio.shape)
-    deliverable = ctx.params.bandwidth_hz * lg * ctx.slot_s
+        deliverable = _shannon_bits(ctx, cells, acc)
     backlog_bits = ctx.queue_totals[cells] * ctx.packet_bits
     bits = np.where(deliverable < backlog_bits, deliverable, backlog_bits)
     total = np.zeros(len(cells))
     if bits.shape[1]:
         total = np.add.accumulate(bits, axis=1)[:, -1]
     return total / ctx.omega_max
+
+
+def _shannon_bits(ctx: ScoreContext, cells, acc) -> np.ndarray:
+    """One slot's deliverable bits of ``cells`` under summed interferer
+    gains ``acc`` (broadcast together), operation for operation as
+    :func:`_served_bits`, with ``math.log2`` per element (``np.log2`` may
+    differ in the last bit)."""
+    power = ctx.params.beam_power_w
+    ratio = power * ctx.budget.gain2.diagonal()[cells] / (ctx.budget.noise_power_w + power * acc)
+    terms = (1.0 + ratio).ravel().tolist()
+    lg = np.fromiter(map(math.log2, terms), float, len(terms)).reshape(ratio.shape)
+    return ctx.params.bandwidth_hz * lg * ctx.slot_s
+
+
+def _subset_bits(ctx: ScoreContext) -> np.ndarray:
+    """Per cell c and subset mask m of its window (bit j: window entry j is
+    served), the deliverable bits of c for one slot.
+
+    The summed gain of mask m is that of m without its highest bit plus
+    that bit's gain, so every subset sums in window order from 0.0 like the
+    scalar scorers. Masks touching a pad are never looked up.
+    """
+    gains = ctx.batch_gain
+    n, width = gains.shape
+    acc = np.zeros((n, 1 << width))
+    for j in range(width):
+        acc[:, 1 << j : 2 << j] = acc[:, : 1 << j] + gains[:, j : j + 1]
+    return _shannon_bits(ctx, np.arange(n)[:, None], acc)
 
 
 def score_pattern(

@@ -315,11 +315,13 @@ def same_tree(a, b):
      ("ctx37", 9, (), 200, False, None, 0.0),
      ("ctx37", 9, tuple(range(0, 32, 4)), 120, False, None, SQRT2),
      ("ctx37", 9, tuple(range(0, 32, 4)), 120, True, 18, 0.5),
-     ("ctx37", 9, (), 37, False, None, SQRT2), ("ctx37", 9, (), 18, True, 18, 0.5)],
+     ("ctx37", 9, (), 37, False, None, SQRT2), ("ctx37", 9, (), 18, True, 18, 0.5),
+     ("ctx331", 82, tuple(range(0, 300, 5)), 300, False, None, SQRT2)],
     ids=["plain_below", "plain_above", "prefix_below", "prefix_above", "pruned_below",
          "pruned_above", "pruned_prefix", "last_stage", "last_stage_pruned",
          "rings6_uct", "rings6_uct_prefix", "gates_uct", "gates_uct_prefix", "c0_uct",
-         "last_stage_uct", "last_stage_pruned_uct", "sweep_only", "sweep_only_pruned"],
+         "last_stage_uct", "last_stage_pruned_uct", "sweep_only", "sweep_only_pruned",
+         "rings10_uct_prefix"],
 )
 def test_batched_sweep_matches_one_iteration_at_a_time(
     request, monkeypatch, ctx_name, beams, prefix, iterations, pruning, width, c
@@ -336,9 +338,11 @@ def test_batched_sweep_matches_one_iteration_at_a_time(
     ref_scores, got_scores = [], []
     ref_action, ref_root = stage_one_at_a_time(
         ctx, prefix, beams, cfg, np.random.default_rng(61), ref_scores)
-    scalar = []
-    rollout = mcts.simulate
+    scalar, root_uct = [], []
+    rollout, select = mcts.simulate, mcts.uct_select
     monkeypatch.setattr(mcts, "simulate", lambda *a: scalar.append(1) or rollout(*a))
+    monkeypatch.setattr(mcts, "uct_select", lambda node, c: root_uct.append(
+        len(node.prefix) == len(prefix)) or select(node, c))
     action, root = run_single_stage(
         ctx, prefix, beams, cfg, np.random.default_rng(61), got_scores)
     assert action == ref_action
@@ -346,8 +350,112 @@ def test_batched_sweep_matches_one_iteration_at_a_time(
     same_tree(root, ref_root)
     if ctx_name == "ctx127":
         # Shallow unpruned trees are predictable: most of the UCT phase is
-        # scored in batches.
+        # scored in batches, and most of its root choices are checked in
+        # arrays instead of made by ``uct_select``.
         assert len(scalar) < (iterations - len(root.candidates)) / 2
+        assert sum(root_uct) < (iterations - len(root.candidates)) / 2
+
+
+# -- root check -------------------------------------------------------------------
+
+
+def first_root_miss(root, slots, scores, c):
+    """Reference for ``_root_run``: one :func:`uct_select` and one
+    :func:`backup` per iteration, until a choice is not the given slot."""
+    for i, (slot, score) in enumerate(zip(slots, scores)):
+        if uct_select(root, c) != root.candidates[slot]:
+            return i
+        backup([root, root.children[root.candidates[slot]]], score)
+    return len(slots)
+
+
+def root_copy(root):
+    copy = make_parent({a: (child.visit_count, child.score_sum)
+                        for a, child in root.children.items()})
+    copy.visit_count = root.visit_count
+    return copy
+
+
+def checked_runs(root, rng, c, rows, score_of):
+    """(slots, scores) runs to check at ``root``: its true UCT choices, in
+    most runs with one of them replaced."""
+    for _ in range(4):
+        slots, scores = [], []
+        replay = root_copy(root)
+        for _ in range(rows):
+            slot = replay.children[uct_select(replay, c)].slot
+            slots.append(slot)
+            scores.append(score_of(slot))
+            backup([replay, replay.children[replay.candidates[slot]]], scores[-1])
+        if len(root.candidates) > 1 and rng.random() < 0.75:
+            i = int(rng.integers(rows))
+            slots[i] = (slots[i] + int(rng.integers(1, len(root.candidates)))) % len(
+                root.candidates)
+        yield slots, scores
+
+
+@pytest.mark.parametrize("c", [0.0, 0.5, SQRT2], ids=["c0", "c0.5", "sqrt2"])
+def test_root_run_matches_uct_one_iteration_at_a_time(c):
+    rng = np.random.default_rng(int(10 * c) + 7)
+    for trial in range(150):
+        width = int(rng.integers(1, 40))
+        # Dyadic sums and scores from a few values make exact ties common.
+        visits = rng.integers(1, 6, width)
+        stats = {a: (int(v), float(rng.integers(0, 4 * v)) / 4) for a, v in enumerate(visits)}
+        if trial % 3 == 0:
+            stats = {a: (2, 1.0) for a in range(width)}  # every value tied
+        root = make_parent(stats)
+        if trial % 5 == 0:
+            root.visit_count = 1  # log term 0 on the first row
+        rows = int(rng.integers(1, 90))
+        for slots, scores in checked_runs(
+                root, rng, c, rows, lambda _: float(rng.integers(0, 4)) / 4):
+            got = mcts._root_run(root, slots, scores, c)
+            assert got == first_root_miss(root_copy(root), slots, scores, c)
+
+
+def test_root_run_on_terminal_children(ctx37):
+    # In the last stage every root child is a full pattern, whose rollouts
+    # all score the same.
+    prefix = tuple(range(0, 32, 4))
+    for c in (0.0, 0.5, SQRT2):
+        cfg = MctsConfig(max_iterations=29, exploration_constant=c)
+        _, root = run_single_stage(ctx37, prefix, 9, cfg, np.random.default_rng(3))
+        assert all(child.is_terminal(9) for child in root.children.values())
+        means = [root.children[a].mean_score() for a in root.candidates]
+        rng = np.random.default_rng(5)
+        for slots, scores in checked_runs(root, rng, c, 80, means.__getitem__):
+            got = mcts._root_run(root, slots, scores, c)
+            assert got == first_root_miss(root_copy(root), slots, scores, c)
+
+
+def test_root_run_breaks_exact_ties_as_uct():
+    # Two children whose UCT values tie exactly: the first argmax wins. The
+    # log of the root's visits decides such a tie, so it is also checked at
+    # visit counts where numpy's array log and ``math.log`` round apart.
+    counts = np.arange(2.0, 40_000.0)
+    apart = counts[np.log(counts) != np.array([math.log(n) for n in counts.tolist()])]
+    tied = 0
+    for n in [*apart[:6].tolist(), 50.0, 999.0]:
+        log_n = math.log(n)
+        for c in (0.5, SQRT2):
+            for va, vb in ((1, 4), (4, 1), (2, 8), (8, 2), (1, 16), (16, 1)):
+                value = 0.25 + c * math.sqrt(log_n / va)
+                explore = c * math.sqrt(log_n / vb)
+                mean_b = value - explore
+                for _ in range(8):  # nudge until the two values tie exactly
+                    if mean_b + explore == value:
+                        break
+                    mean_b = float(np.nextafter(mean_b, 1.0 if mean_b + explore < value else 0.0))
+                root = make_parent({0: (va, 0.25 * va), 1: (vb, mean_b * vb)})
+                if root.child_sums[1] / vb + explore != value:
+                    continue
+                root.visit_count = int(n)
+                tied += 1
+                for slots in ([0] * 3, [1] * 3):
+                    assert mcts._root_run(root, slots, [0.25] * 3, c) == first_root_miss(
+                        root_copy(root), slots, [0.25] * 3, c)
+    assert tied > 20
 
 
 # -- pruning heuristic ----------------------------------------------------------
@@ -491,6 +599,14 @@ def test_more_iterations_not_worse_on_average(grid37, budget37, params):
             pattern = compute_pattern_mcts(ctx, totals, 9, cfg)
             out.append(score_sliding_window(pattern, ctx, 9))
     assert np.mean(hi) >= np.mean(lo)
+
+
+@pytest.fixture(scope="module")
+def ctx331(params):
+    grid = generate_grid(10)
+    rng = np.random.default_rng(331)
+    totals = rng.integers(0, 20000, size=grid.n_cells).astype(float)
+    return build_ctx(grid, build_link_budget(grid, params), params, totals, beams=82)
 
 
 @pytest.fixture(scope="module")

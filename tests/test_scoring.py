@@ -1,14 +1,17 @@
 """Pattern scoring: window extraction vs pair oracles, backend equivalence."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hoplite.scoring as scoring
 from hoplite.channel import build_link_budget
 from hoplite.geometry import generate_grid, grid_from_points
 from hoplite.scoring import (
+    TABLE_WINDOW_MAX,
     interference_cells_sliding_window,
     make_score_context,
     omega_max_for,
@@ -442,3 +445,148 @@ def test_score_batch_rejects_bad_rows(ctx37):
         score_batch(np.array([[-1, 2, 3]]), ctx37)
     with pytest.raises(ValueError):
         score_batch(np.array([1, 2, 3]), ctx37)
+
+
+# -- subset table -------------------------------------------------------------------
+
+
+def served_masks(row, ctx):
+    """Per cell of ``row``, the bits of its window entries that ``row`` serves."""
+    served = set(row)
+    return {c: sum(1 << j for j, l in enumerate(ctx.window[c]) if l in served) for c in row}
+
+
+@pytest.mark.parametrize("ds_diameters", [0.0, 1.0], ids=["ds0", "ds1"])
+def test_subset_table_equals_scalar_scorers_on_random_rows(
+    batch_system, params, monkeypatch, ds_diameters
+):
+    # Every seventh cell has no backlog (see ``batch_system``).
+    grid, budget, totals = batch_system
+    n = grid.n_cells
+    beams = n // 4
+    ctx = build_ctx(grid, budget, params, totals, beams=beams,
+                    ds_km=ds_diameters * grid.cell_diameter)
+    rng = np.random.default_rng((n, 11, int(ds_diameters)))
+    rows = np.array([rng.choice(n, size=beams, replace=False) for _ in range(1000)])
+    got = score_batch(rows, ctx).tolist()
+    assert "subset_bits" in ctx.lazy
+    assert got == [score_sliding_window(p, ctx, beams) for p in map(tuple, rows.tolist())]
+    if ctx.batch_window.shape[1]:  # the same rows through the summed path
+        monkeypatch.setattr(scoring, "TABLE_WINDOW_MAX", 0)
+        assert score_batch(rows, ctx).tolist() == got
+
+
+@pytest.mark.parametrize("rings", [3, 6, 10])
+def test_subset_table_entries_equal_scalar_scorer(params, rings):
+    # Every entry of the table, one cell and one subset of its window at a
+    # time: only that cell has a backlog, so a row scores its deliverable
+    # bits. A jittered grid gives the entries distinct gains, and a weak
+    # link puts 1 + SINR near 1, where log2 implementations round apart most.
+    base = generate_grid(rings)
+    n, d = base.n_cells, base.cell_diameter
+    rng = np.random.default_rng(rings)
+    grid = grid_from_points(base.xs + rng.uniform(-0.2, 0.2, n) * d,
+                            base.ys + rng.uniform(-0.2, 0.2, n) * d, cell_diameter=d)
+    weak = replace(params, beam_power_dbw=10.0)
+    ctx = build_ctx(grid, build_link_budget(grid, weak), weak, np.zeros(n), beams=1,
+                    ds_km=0.9 * d, omega_max=1.0)
+    assert ctx.batch_window.shape[1] <= TABLE_WINDOW_MAX
+    for c in range(n):
+        window = ctx.window[c]
+        totals = np.zeros(n)
+        totals[c] = 1e12
+        alone = with_queue_totals(ctx, totals)
+        by_size = {}
+        for mask in range(1 << len(window)):
+            row = (c, *(l for j, l in enumerate(window) if mask >> j & 1))
+            by_size.setdefault(len(row), []).append(row)
+        for rows in by_size.values():
+            assert score_batch(np.array(rows), alone).tolist() == [
+                score_sliding_window(row, alone) for row in rows]
+
+
+def test_subset_table_equals_bruteforce_on_small_grids(grid8, budget8, params):
+    # Up to nine cells, the full-pair backend's grid-wide window fits the table.
+    for grid, budget in ((grid8, budget8), (generate_grid(1), None)):
+        budget = budget or build_link_budget(grid, params)
+        n = grid.n_cells
+        rng = np.random.default_rng(n)
+        totals = rng.integers(0, 20000, n).astype(float)
+        totals[::3] = 0.0
+        ctx = build_ctx(grid, budget, params, totals, beams=3, backend="bruteforce")
+        for k in range(n + 1):
+            rows = np.array([rng.permutation(n)[:k] for _ in range(1000 // n)])
+            assert score_batch(rows, ctx).tolist() == [
+                score_bruteforce(p, ctx, k) for p in map(tuple, rows.tolist())]
+        assert "subset_bits" in ctx.lazy
+
+
+def test_subset_table_edge_rows(batch_system, params):
+    grid, budget, totals = batch_system
+    n = grid.n_cells
+    ctx = build_ctx(grid, budget, params, totals, beams=n // 4)
+    rng = np.random.default_rng((n, 13))
+    rows = np.array([rng.permutation(n) for _ in range(3)])  # K = n
+    assert score_batch(rows, ctx).tolist() == [
+        score_sliding_window(p, ctx, n) for p in map(tuple, rows.tolist())]
+    assert score_batch(np.zeros((4, 0), dtype=int), ctx).tolist() == [0.0] * 4  # K = 0
+    assert score_sliding_window((), ctx) == 0.0
+    assert score_batch(np.zeros((0, 5), dtype=int), ctx).shape == (0,)  # no rows
+
+
+def test_subset_table_backlog_equal_to_entry(batch_system, params):
+    # One packet bit per packet makes a backlog equal to a table entry
+    # exactly, so ``deliverable < backlog`` ties for every cell of the row.
+    grid, budget, _ = batch_system
+    n = grid.n_cells
+    ctx = build_ctx(grid, budget, params, np.zeros(n), beams=n // 4, packet_bits=1.0)
+    rng = np.random.default_rng((n, 17))
+    table = scoring._subset_bits(ctx)
+    for _ in range(20):
+        row = tuple(rng.choice(n, size=n // 4, replace=False).tolist())
+        totals = np.zeros(n)
+        for c, mask in served_masks(row, ctx).items():
+            totals[c] = table[c, mask]
+        tied = with_queue_totals(ctx, totals)
+        assert tied.queue_bits[row[0]] == table[row[0], served_masks(row, ctx)[row[0]]]
+        assert score_batch(np.array([row]), tied).tolist() == [
+            score_sliding_window(row, tied, len(row))]
+
+
+@pytest.mark.parametrize(
+    "ds_diameters, table",
+    [(0.0, True), (1.0, True), (1.5, False), (3.0, False), (1e3, False)],
+    ids=["ds0", "ds1", "ds1.5", "ds3", "wide"],
+)
+def test_score_batch_takes_table_only_for_narrow_windows(
+    batch_system, params, ds_diameters, table
+):
+    grid, budget, totals = batch_system
+    n = grid.n_cells
+    ctx = build_ctx(grid, budget, params, totals, beams=n // 4,
+                    ds_km=ds_diameters * grid.cell_diameter)
+    assert (ctx.batch_window.shape[1] <= TABLE_WINDOW_MAX) == table
+    if ds_diameters == 1.0:
+        assert ctx.batch_window.shape[1] == 6
+    brute = build_ctx(grid, budget, params, totals, beams=n // 4, backend="bruteforce")
+    rows = np.array([np.random.default_rng(n).permutation(n)[: n // 4]])
+    for c, expect in ((ctx, table), (brute, False)):
+        score_batch(rows, c)
+        assert ("subset_bits" in c.lazy) == expect
+
+
+def test_subset_table_built_once_and_shared(grid37, budget37, params, monkeypatch):
+    builds = []
+    build = scoring._subset_bits
+    monkeypatch.setattr(scoring, "_subset_bits", lambda ctx: builds.append(1) or build(ctx))
+    rng = np.random.default_rng(89)
+    ctx = build_ctx(grid37, budget37, params, rng.integers(0, 20000, 37).astype(float), beams=9)
+    assert not ctx.lazy  # not built with the context
+    rows = np.array([rng.choice(37, size=9, replace=False) for _ in range(30)])
+    score_batch(rows, ctx)
+    other = with_queue_totals(ctx, rng.integers(0, 9000, 37).astype(float))
+    assert other.lazy is ctx.lazy
+    assert score_batch(rows, other).tolist() == [
+        score_sliding_window(p, other, 9) for p in map(tuple, rows.tolist())]
+    score_batch(rows, ctx)
+    assert len(builds) == 1
