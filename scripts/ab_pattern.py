@@ -14,6 +14,7 @@ Configurations (cells, beams, iterations per stage, search settings):
 
     37     37 cells,  9 beams, 200 iterations, plain, c = sqrt(2)
     127   127 cells, 31 beams, 200 iterations, plain, c = sqrt(2)
+    127p  127 cells, 31 beams, 200 iterations, pruned to the beam count, c = sqrt(2)
     331   331 cells, 82 beams, 200 iterations, plain, c = sqrt(2)
     gates  37 cells,  9 beams, 400 iterations, pruned to width 18, c = 0.5
            (the search settings of ACCEPTANCE-05 and -08)
@@ -25,8 +26,9 @@ quartiles. Exits 1 if any pair's patterns or rollout-score traces differ.
 With ``--split``, each side's ``hoplite.mcts`` functions that score and
 predict are wrapped to add up their CPU time, and a pattern's median time
 is also printed split into ``score_batch``, the rest of ``_rollout_scores``
-(rollout set-up), ``_look_ahead``, the root check ``_root_run`` (where the
-tree has it) and the rest (descent, UCT, backup and scalar rollouts).
+(rollout set-up), the prediction and root check (``_predict`` and
+``_root_run``, where the tree has them) and the rest (leaf choice, pruned
+expansions, the general path's descent, UCT, backup and scalar rollouts).
 """
 
 from __future__ import annotations
@@ -47,6 +49,8 @@ CONFIGS = {
                c=math.sqrt(2.0), pairs=60),
     "127": dict(rings=6, beams=31, iterations=200, pruning=False, width=None,
                 c=math.sqrt(2.0), pairs=20),
+    "127p": dict(rings=6, beams=31, iterations=200, pruning=True, width=None,
+                 c=math.sqrt(2.0), pairs=20),
     "331": dict(rings=10, beams=82, iterations=200, pruning=False, width=None,
                 c=math.sqrt(2.0), pairs=4),
     "gates": dict(rings=3, beams=9, iterations=400, pruning=True, width=18,
@@ -68,7 +72,7 @@ def load_tree(tree: Path, name: str):
 
 # Functions of ``hoplite.mcts`` timed by --split; score_batch runs inside
 # _rollout_scores.
-SPLIT = ("score_batch", "_rollout_scores", "_look_ahead", "_root_run")
+SPLIT = ("score_batch", "_rollout_scores", "_predict", "_root_run")
 
 
 class Side:
@@ -116,9 +120,8 @@ class Side:
         return {
             "score_batch": spent["score_batch"],
             "rollout set-up": spent["_rollout_scores"] - spent["score_batch"],
-            "look-ahead": spent["_look_ahead"],
-            "root check": spent["_root_run"],
-            "rest": elapsed - spent["_rollout_scores"] - spent["_look_ahead"]
+            "prediction + root check": spent["_predict"] + spent["_root_run"],
+            "rest": elapsed - spent["_rollout_scores"] - spent["_predict"]
             - spent["_root_run"],
         }
 
@@ -183,7 +186,7 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, required=True, help="parent source tree")
     parser.add_argument("--change", type=Path, required=True, help="changed source tree")
     parser.add_argument("--configs", nargs="+", choices=sorted(CONFIGS),
-                        default=["37", "gates", "127", "331"])
+                        default=["37", "gates", "127", "127p", "331"])
     parser.add_argument("--pairs", type=int, default=None,
                         help="pairs per configuration (default: per-config)")
     parser.add_argument("--seed", type=int, default=0, help="demand and first search seed")

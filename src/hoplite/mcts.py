@@ -6,30 +6,34 @@ complete the prefix uniformly at random and score the resulting pattern, and
 scores are backed up the path. After a fixed iteration budget the root child
 with the best mean score is committed (ties to the lower cell id) and the
 next stage begins. Expanding a node records its candidate cells; a child
-node is created on the first descent into it, so a stage of I iterations
-holds at most I + 1 nodes.
+node is created on the first descent into it.
 
 A stage draws all its randomness at once: one uniform key per iteration and
 grid cell. Iteration t completes its leaf's prefix with the unchosen cells
-of smallest key in row t. The first iterations of a stage visit each root
-candidate once, in ascending order, whatever the scores; this sweep is
-drawn with one ``argpartition`` over its key rows, scored with one
-``score_batch`` call and backed up in iteration order, which is exactly the
-one-at-a-time search (leaf parallelization of the forced first visits, as in
-Cazenave & Jouandeau, "On the Parallelization of UCT", 2007). The UCT
-iterations after it are scored in batches too, without changing any of
-them: a look-ahead predicts the leaves of the next iterations from the
-current tree (each predicted rollout standing in at its root child's mean),
-one ``score_batch`` call scores those leaves on their key rows, and the
-iterations then run one at a time on true scores, each taking the batched
-score if its real leaf is the predicted one. Once a prediction is scored,
-every input of the root's next UCT choices is known, so one array pass
-finds how many of them are the predicted ones (:func:`_root_run`); those
-iterations take their root child from the prediction instead of calling
-``uct_select``, and descend, roll out and back up below it as before. A
-miss drops the rest of the prediction; where predictions keep missing (deep
-trees, little exploration), they are only checked, not scored, and made
-ever more rarely, so those stages run on the scalar scorer as before.
+of smallest key in row t. Every stage is the one-at-a-time UCT search, with
+the same choices and the same floats, run on one of two paths:
+
+- **Two-level path.** UCT visits the root's candidates once each, in
+  ascending order, then chooses among them; the k-th visit (k >= 2) to root
+  child a descends to a's (k-1)-th candidate, a fresh leaf that is rolled
+  out and never visited again (a itself when a completes the pattern). So
+  while every chosen child has an untried candidate left, a stage is a
+  bandit over the root's children, and this path keeps only the root's
+  arrays and a candidate list per root child: no node below the root. The
+  first visits are scored with one ``score_batch`` call. After them, UCT
+  runs in batches (leaf parallelization, as in Cazenave & Jouandeau, "On
+  the Parallelization of UCT", 2007, with every choice kept): the root's
+  next choices are predicted with each rollout standing in at its child's
+  mean, their leaves are scored with one ``score_batch`` call, and one
+  array pass (:func:`_root_run`) finds how many of them UCT makes on the
+  true scores and applies those. The first predicted choice is always
+  UCT's, so every batch advances.
+- **General path.** The first time UCT chooses a root child with no untried
+  candidate left, the stage hands off: the tree the iterations so far built
+  (the root, its children with their expansions, one node per tried
+  grandchild) is made from their record, and the stage goes on one
+  iteration at a time: UCT descent, node creation, a scalar rollout and a
+  backup along the path. No iteration runs twice.
 
 Each node keeps the visit counts and score sums of its children in arrays
 indexed like its candidate list, so UCT over a fully expanded node is a
@@ -48,7 +52,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -144,9 +147,6 @@ class SearchNode:
         self.children[action] = child
         return child
 
-    def mean_score(self) -> float:
-        return self.score_sum / self.visit_count if self.visit_count else 0.0
-
     def is_terminal(self, beams: int) -> bool:
         return len(self.prefix) >= beams
 
@@ -168,19 +168,29 @@ class MctsTrace:
         return out
 
 
+def backlog_shares(queue_totals) -> np.ndarray:
+    """Per cell, its queue total over the largest one (all 0 if none is
+    positive): the backlog term of :func:`selection_values`."""
+    totals = np.asarray(queue_totals, dtype=float)
+    d_max = float(totals.max()) if totals.size else 0.0
+    return totals / d_max if d_max > 0 else np.zeros(totals.shape)
+
+
 def selection_values(
-    candidates, selected, queue_totals, grid: CellGrid
+    candidates, selected, queue_totals, grid: CellGrid, backlog=None
 ) -> np.ndarray:
     """Pruning heuristic per candidate cell: backlog share plus normalized
     spread from the chosen cells.
 
     Both terms are scaled into [0, 1]: backlog by the current maximum queue
-    total, the distance sum by (grid span x number chosen).
+    total, the distance sum by (grid span x number chosen). ``backlog``, if
+    given, is :func:`backlog_shares` of ``queue_totals``, computed once for
+    many calls (each entry is the same division either way).
     """
     cand = np.asarray(list(candidates), dtype=int)
-    totals = np.asarray(queue_totals, dtype=float)
-    d_max = float(totals.max()) if totals.size else 0.0
-    mu = totals[cand] / d_max if d_max > 0 else np.zeros(len(cand))
+    if backlog is None:
+        backlog = backlog_shares(queue_totals)
+    mu = backlog[cand]
     selected = list(selected)
     if selected:
         dm = grid.distance_matrix()
@@ -191,15 +201,15 @@ def selection_values(
 
 
 def pruned_actions(
-    candidates, selected, queue_totals, grid: CellGrid, prune_width: int
+    candidates, selected, queue_totals, grid: CellGrid, prune_width: int, backlog=None
 ) -> list[int]:
     """Top-prune_width candidates by selection value, ties to lower cell id.
 
     Returned in descending value order; with enough width this is just all
-    candidates reordered.
+    candidates reordered. ``backlog`` as in :func:`selection_values`.
     """
     cand = np.asarray(list(candidates), dtype=int)
-    mu = selection_values(cand, selected, queue_totals, grid)
+    mu = selection_values(cand, selected, queue_totals, grid, backlog)
     return cand[np.lexsort((cand, -mu))[:prune_width]].tolist()
 
 
@@ -242,7 +252,7 @@ def simulate(node: SearchNode, ctx: ScoreContext, beams: int, keys) -> float:
 def _smallest(keys: np.ndarray, need: int) -> np.ndarray:
     """Per row of ``keys``, the positions of its ``need`` smallest entries.
 
-    The one completion rule of both search phases: with the chosen cells'
+    The one completion rule of both search paths: with the chosen cells'
     keys set to infinity, a uniform key row picks a uniform ``need``-subset
     of the unchosen cells.
     """
@@ -261,54 +271,21 @@ def backup(path: list[SearchNode], score: float):
         parent = node
 
 
-def _candidates(node: SearchNode, ctx: ScoreContext, cfg: MctsConfig, beams: int) -> list:
-    """The sorted actions an expansion of ``node`` records."""
+def _expansion(ctx: ScoreContext, cfg: MctsConfig, beams: int):
+    """The sorted actions an expansion records, as a function of a node's
+    prefix and unchosen cells; the backlog shares are computed once."""
     if not cfg.pruning_enabled:
-        return node.remaining
+        return lambda prefix, remaining: remaining
     width = cfg.prune_width if cfg.prune_width is not None else beams
-    return sorted(pruned_actions(
-        node.remaining, node.prefix, ctx.queue_totals, ctx.grid, width
+    backlog = backlog_shares(ctx.queue_totals)
+    return lambda prefix, remaining: sorted(pruned_actions(
+        remaining, prefix, ctx.queue_totals, ctx.grid, width, backlog
     ))
 
 
-def _expand(node: SearchNode, ctx: ScoreContext, cfg: MctsConfig, beams: int):
-    node.expand(_candidates(node, ctx, cfg, beams))
-
-
-# UCT-phase look-ahead: the first request, the largest request, and the
-# shortest prediction worth making; predictions are scored in a batch only
-# while recent runs of hits average at least AHEAD_MIN.
-AHEAD_FIRST = 32
-AHEAD_MAX = 128
-AHEAD_MIN = 16
-
-
-class Pace:
-    """How far the UCT phase looks ahead and whether it scores its
-    predictions, learned from how long they held; carried from one stage of
-    a pattern to the next."""
-
-    __slots__ = ("run", "size", "wait", "max_wait")
-
-    def __init__(self, max_wait: int):
-        self.run = float(AHEAD_MIN)  # running mean of hits per prediction
-        self.size = AHEAD_FIRST  # iterations the next prediction covers
-        self.wait = 0  # iterations between an untrusted prediction and the next
-        self.max_wait = max_wait
-
-    @property
-    def trusted(self) -> bool:
-        return self.run >= AHEAD_MIN
-
-    def held(self, hits: int, whole: bool) -> int:
-        """Record a prediction that held for ``hits`` iterations (``whole``:
-        all of it); returns the iterations to wait before the next one,
-        twice as many after each untrusted prediction."""
-        self.run = (self.run + hits) / 2
-        grown = 2 * self.size if whole else max(AHEAD_MIN, hits + AHEAD_MIN // 2)
-        self.size = min(AHEAD_MAX, grown)
-        self.wait = 0 if self.trusted else min(max(1, 2 * self.wait), self.max_wait)
-        return self.wait
+# UCT iterations the two-level path predicts and scores in a stage's first
+# batch; each later batch covers twice the iterations the last one kept.
+AHEAD = 32
 
 
 def run_single_stage(
@@ -318,125 +295,106 @@ def run_single_stage(
     cfg: MctsConfig,
     rng,
     trace_scores: list | None = None,
-    pace: Pace | None = None,
 ) -> tuple[int, SearchNode]:
     """One search stage: fix the next cell given an already-committed prefix.
 
-    Returns (committed action, root) — the root is handed back so callers
-    can audit visit counts and subtree score sums.
+    Returns (committed action, root). On the two-level path (see the module
+    docstring) the root holds its candidates, child visit and score-sum
+    arrays and its own counts, but no child nodes. If the stage hands off to
+    the general path, the root is the whole search tree, whose nodes hold
+    what the one-at-a-time search's would.
 
-    The UCT iterations run one at a time on true scores, so every choice is
-    the one-at-a-time search's; only where their rollouts are scored
-    changes. :func:`_look_ahead` predicts the leaves of the next
-    iterations from the current tree and, while ``pace`` trusts its
-    predictions, one :func:`score_batch` call scores them on their key
-    rows, and :func:`_root_run` finds how many of them UCT at the root
-    chooses too; those take their root child from the prediction. An
-    iteration whose real leaf is the predicted one takes the batched
-    score; any other is scored alone and drops the rest of the
-    prediction. An untrusted prediction (a probe) is only checked against
-    the search, and the next one waits twice as long.
+    Hand-off rule: the two-level path runs while UCT's next choice at the
+    root is a child that still has an untried candidate (or completes the
+    pattern); the first choice of a child with none left builds the tree
+    and runs that iteration and the rest of the stage one at a time.
     """
-    pace = pace or Pace(cfg.max_iterations)
     prefix = tuple(prefix)
     chosen = set(prefix)
     n = ctx.grid.n_cells
     remaining = [cell for cell in range(n) if cell not in chosen]
     keys = rng.random((cfg.max_iterations, n))
+    keys[:, list(prefix)] = np.inf  # no rollout draws a chosen cell
+    expansion = _expansion(ctx, cfg, beams)
     root = SearchNode(prefix, remaining)
-    _expand(root, ctx, cfg, beams)
-    swept = min(len(root.candidates), cfg.max_iterations)
-    children = [root.add_child(a) for a in root.candidates[:swept]]
-    for child, score in zip(
-        children, _rollout_scores(ctx, [c.prefix for c in children], beams, keys[:swept])
-    ):
-        backup([root, child], score)
-        if trace_scores is not None:
-            trace_scores.append(score)
+    root.expand(expansion(prefix, remaining))
+    cands = root.candidates
+    swept = min(len(cands), cfg.max_iterations)
+    slots = list(range(swept))  # the root child of every iteration so far
+    scores = _rollout_scores(ctx, prefix, [(a,) for a in cands[:swept]], beams, keys)
+    root.child_visits[:swept] += 1.0
+    root.child_sums[:swept] += scores
+    root.visit_count = swept
+    for score in scores:
+        root.score_sum += score
+    last = len(prefix) + 1 >= beams  # root children complete the pattern
+    below = [None] * len(cands)  # pruned: each root child's candidates
+
+    def tail(slot: int, tried: int):
+        """The cells below the root of the leaf of the next visit to root
+        child ``slot``, which has tried ``tried`` candidates; None if it
+        has no untried one left."""
+        cell = cands[slot]
+        if last:
+            return (cell,)
+        if not cfg.pruning_enabled:
+            # The child's candidates are the root's without its own cell.
+            if tried < len(remaining) - 1:
+                return cell, remaining[tried + (tried >= slot)]
+            return None
+        if below[slot] is None:
+            i = bisect_left(remaining, cell)
+            below[slot] = expansion(prefix + (cell,), remaining[:i] + remaining[i + 1:])
+        return (cell, below[slot][tried]) if tried < len(below[slot]) else None
+
     c = cfg.exploration_constant
-    # Expansions made by a prediction, kept off their nodes until the
-    # search reaches them.
-    planned: dict[SearchNode, list] = {}
-
-    def candidates_of(node):
-        cands = planned.get(node)
-        if cands is None:
-            cands = planned[node] = _candidates(node, ctx, cfg, beams)
-        return cands
-
-    ahead: list[tuple] = []  # predicted leaves of iterations start, start + 1, ...
-    ahead_scores = None  # their batched rollout scores; None for a probe
-    hits = 0
-    checked = 0  # leading predictions whose root choice is the true one
-    depth = len(prefix)
-    retry_at = swept + pace.wait
-    for t in range(swept, cfg.max_iterations):
-        if hits == len(ahead) and t >= retry_at:
-            ahead, hits, checked = [], 0, 0
-            want = min(pace.size, cfg.max_iterations - t)
-            if want < AHEAD_MIN:  # too few iterations left to batch
-                retry_at = cfg.max_iterations
-            elif len(ahead := _look_ahead(root, want, c, beams, candidates_of)) < AHEAD_MIN:
-                retry_at = t + pace.held(len(ahead), False)
-                ahead = []
-            elif pace.trusted:
-                ahead_scores = _rollout_scores(ctx, ahead, beams, keys[t : t + len(ahead)])
-                checked = _root_run(
-                    root, [root.children[leaf[depth]].slot for leaf in ahead], ahead_scores, c
-                )
-            else:
-                ahead_scores = None
-        # Past the sweep every root child exists and has been visited.
-        action = ahead[hits][depth] if hits < checked else uct_select(root, c)
-        node = root.children[action]
-        path = [root, node]
-        while not node.is_terminal(beams):
-            if node.visit_count == 0:
-                break  # fresh leaf: roll out before growing below it
-            if not node.candidates:
-                cands = planned.pop(node, None)
-                if cands is None:
-                    _expand(node, ctx, cfg, beams)
-                else:
-                    node.expand(cands)
-            action = uct_select(node, c)
-            child = node.children.get(action)
-            if child is None:
-                child = node.add_child(action)
-            node = child
-            path.append(node)
-        if hits < len(ahead) and ahead[hits] == node.prefix:
-            if ahead_scores is None:
-                score = simulate(node, ctx, beams, keys[t])
-            else:
-                score = ahead_scores[hits]
-            hits += 1
-            if hits == len(ahead):
-                retry_at = t + 1 + pace.held(hits, True)
-        else:
-            if ahead:
-                retry_at = t + 1 + pace.held(hits, False)
-                ahead, hits, checked = [], 0, 0
+    t, ahead = swept, AHEAD
+    while t < cfg.max_iterations:
+        order = _predict(root, min(ahead, cfg.max_iterations - t), c)
+        visits = root.child_visits.tolist()
+        tails = []
+        for slot in order:
+            cells = tail(slot, int(visits[slot]) - 1)
+            if cells is None:
+                break
+            visits[slot] += 1
+            tails.append(cells)
+        if not tails:
+            break  # UCT's choice has no untried candidate: hand off
+        batch = _rollout_scores(ctx, prefix, tails, beams, keys[t:])
+        run = _root_run(root, order[: len(tails)], batch, c)
+        slots += order[:run]
+        scores += batch[:run]
+        t += run
+        ahead = 2 * run
+    if t < cfg.max_iterations:
+        _two_level_tree(root, slots, scores, below)
+        for t in range(t, cfg.max_iterations):
+            node, path = root, [root]
+            while node.visit_count and not node.is_terminal(beams):
+                if not node.candidates:
+                    node.expand(expansion(node.prefix, node.remaining))
+                action = uct_select(node, c)
+                node = node.children.get(action) or node.add_child(action)
+                path.append(node)
             score = simulate(node, ctx, beams, keys[t])
-        backup(path, score)
-        if trace_scores is not None:
-            trace_scores.append(score)
+            backup(path, score)
+            scores.append(score)
+    if trace_scores is not None:
+        trace_scores.extend(scores)
     return _commit(root), root
 
 
-def _look_ahead(root: SearchNode, visits: int, c: float, beams: int, candidates_of) -> list:
-    """Predicted leaf prefixes of the next ``visits`` UCT iterations.
+def _predict(root: SearchNode, visits: int, c: float) -> list:
+    """Predicted root choices (candidate slots) of the next ``visits`` UCT
+    iterations at a fully swept root.
 
     Each predicted rollout is taken to score its root child's current mean,
     so a child's mean stays fixed and its UCT value falls with its visits
     alone. With the log of the root's visit count also held at its current
-    value, UCT at the fully swept root is a merge of the children's falling
-    value sequences: one sort of a children x visits table, ties to the
-    lower slot as in :func:`uct_select`, so the first choice is the real
-    one. Below the root a prediction follows only the untried candidates
-    of each child (or stays at a terminal child), and stops short where a
-    child would need UCT of its own. No real node is changed;
-    ``candidates_of`` supplies (and keeps) expansions.
+    value, UCT is a merge of the children's falling value sequences: one
+    sort of a children x visits table, ties to the lower slot as in
+    :func:`uct_select`, so the first choice is the real one.
     """
     child_visits = root.child_visits
     log_n = math.log(root.visit_count) if root.visit_count > 1 else 0.0
@@ -445,85 +403,101 @@ def _look_ahead(root: SearchNode, visits: int, c: float, beams: int, candidates_
     )
     flat = -values.ravel()
     top = np.flatnonzero(flat <= np.partition(flat, visits - 1)[visits - 1])
-    order = (top[np.lexsort((top, flat[top]))][:visits] // visits).tolist()
-    below = {
-        slot: iter(_fresh_leaves(root.children[root.candidates[slot]], k, beams, candidates_of))
-        for slot, k in Counter(order).items()
-    }
-    out = []
-    for slot in order:
-        leaf = next(below[slot], None)
-        if leaf is None:
-            break
-        out.append(leaf)
-    return out
+    return (top[np.lexsort((top, flat[top]))][:visits] // visits).tolist()
 
 
 def _root_run(root: SearchNode, slots: list, scores: list, c: float) -> int:
     """How many of the next iterations choose root child ``slots[i]`` by
-    :func:`uct_select`, each backing up ``scores[i]`` below that child.
+    :func:`uct_select`, each backing up ``scores[i]`` below that child;
+    those iterations are applied to the root's arrays and counts.
 
     Row i holds the root's child statistics before iteration i: the visits
     and score sums accumulated over rows 0..i-1 in order, which is what
     :func:`backup`'s ``+=`` gives bit for bit (adding 0.0 is exact). Each
     row's UCT values use the same operations as :func:`uct_select`, and the
     first argmax is its choice; the run ends at the first row whose choice
-    is not ``slots[i]``. Needs a fully swept root.
+    is not ``slots[i]``, and the row after its last iteration becomes the
+    root's. Needs a fully swept root.
     """
     rows = len(slots)
-    visits = np.zeros((rows, len(root.candidates)))
-    sums = np.zeros_like(visits)
-    visits[0], sums[0] = root.child_visits, root.child_sums
-    visits[np.arange(1, rows), slots[:-1]] = 1.0
-    sums[np.arange(1, rows), slots[:-1]] = scores[:-1]
-    np.add.accumulate(visits, axis=0, out=visits)
-    np.add.accumulate(sums, axis=0, out=sums)
+    stats = np.zeros((2, rows + 1, len(root.candidates)))  # visits, sums
+    stats[:, 0] = root.child_visits, root.child_sums
+    steps = np.arange(1, rows + 1)
+    stats[0, steps, slots] = 1.0
+    stats[1, steps, slots] = scores
+    np.add.accumulate(stats, axis=1, out=stats)
+    visits, sums = stats[:, :rows]
     n = root.visit_count
     log_n = np.array([math.log(n + i) if n + i > 1 else 0.0 for i in range(rows)])
     values = sums / visits + c * np.sqrt(log_n[:, None] / visits)
     misses = np.flatnonzero(values.argmax(axis=1) != slots)
-    return int(misses[0]) if misses.size else rows
+    run = int(misses[0]) if misses.size else rows
+    root.child_visits, root.child_sums = stats[:, run].copy()
+    root.visit_count = n + run
+    for score in scores[:run]:
+        root.score_sum += score
+    return run
 
 
-def _fresh_leaves(node: SearchNode, visits: int, beams: int, candidates_of) -> list:
-    """Leaf prefixes of the next ``visits`` descents into a visited ``node``
-    while it has untried candidates: one new child each, in candidate
-    order, or the node itself if it is terminal."""
-    if len(node.prefix) >= beams:
-        return [node.prefix] * visits
-    cands = node.candidates or candidates_of(node)
-    tried = len(node.children)
-    return [node.prefix + (a,) for a in cands[tried : tried + visits]]
+def _two_level_tree(root: SearchNode, slots: list, scores: list, below: list):
+    """Give a two-level root the nodes that one-at-a-time search would
+    have built over iterations that visited root children ``slots`` with
+    ``scores``.
 
-
-def _rollout_scores(ctx: ScoreContext, leaves: list, beams: int, keys) -> list[float]:
-    """Rollout scores of the leaf prefixes ``leaves``, in one batch.
-
-    Row t completes ``leaves[t]`` by key row t, the rule of
-    :func:`simulate`; leaves of one depth are completed together and all
-    rows are scored by one :func:`score_batch` call.
+    Each root child holds the visits and score sum of the root's arrays,
+    and is expanded once visited twice (``below`` holds pruned candidate
+    lists; unpruned, a child's candidates are its unchosen cells); its
+    j-th visit after the first created and rolled out its j-th candidate,
+    a grandchild visited once. Only a stage whose root children are not
+    terminal hands off.
     """
-    patterns = np.empty((len(leaves), beams), dtype=np.int64)
-    by_depth: dict[int, list[int]] = {}
-    for row, leaf in enumerate(leaves):
-        by_depth.setdefault(len(leaf), []).append(row)
-    for depth, rows in by_depth.items():
-        head = np.array([leaves[r] for r in rows], dtype=np.int64)
-        patterns[rows, :depth] = head
-        if depth < beams:
-            block = keys[rows]
-            block[np.arange(len(rows))[:, None], head] = np.inf
-            patterns[rows, depth:] = _smallest(block, beams - depth)
+    got = [[] for _ in root.candidates]
+    for slot, score in zip(slots, scores):
+        got[slot].append(score)
+    for slot, action in enumerate(root.candidates):
+        child = root.add_child(action)
+        child.visit_count = int(root.child_visits[slot])
+        child.score_sum = float(root.child_sums[slot])
+        if len(got[slot]) > 1:
+            child.expand(below[slot] or child.remaining)
+            tried = got[slot][1:]
+            child.child_visits[: len(tried)] += 1.0
+            child.child_sums[: len(tried)] += tried
+            for cell, score in zip(child.candidates, tried):
+                grandchild = child.add_child(cell)
+                grandchild.visit_count, grandchild.score_sum = 1, 0.0 + score
+
+
+def _rollout_scores(ctx: ScoreContext, prefix: tuple, tails: list, beams: int, keys) -> list:
+    """Rollout scores of the leaves ``prefix + tails[i]``, in one batch.
+
+    Row i completes its leaf by key row i, whose prefix cells already hold
+    infinity: the rule of :func:`simulate`. All rows are scored by one
+    :func:`score_batch` call.
+    """
+    tails = np.array(tails, dtype=np.int64)
+    rows, depth = len(tails), len(prefix) + tails.shape[1]
+    patterns = np.empty((rows, beams), dtype=np.int64)
+    patterns[:, : len(prefix)] = prefix
+    patterns[:, len(prefix) : depth] = tails
+    if depth < beams:
+        block = keys[:rows].copy()
+        np.put_along_axis(block, tails, np.inf, axis=1)
+        patterns[:, depth:] = _smallest(block, beams - depth)
     return score_batch(patterns, ctx).tolist()
 
 
 def _commit(root: SearchNode) -> int:
-    # Only visited candidates have children. An unvisited one (mean 0) never
-    # wins: scores are >= 0 and the lowest candidate id is visited first.
-    if not root.children:
+    """The candidate of best mean score, ties to the lower cell id.
+
+    An unvisited candidate reads mean 0 and never wins alone: scores are
+    >= 0 and the lowest candidate is visited first.
+    """
+    visits = root.child_visits
+    if visits is None:
         raise ValueError("nothing to commit: root was never expanded")
-    key = lambda item: (item[1].mean_score(), -item[0])
-    return max(root.children.items(), key=key)[0]
+    means = np.divide(root.child_sums, visits, out=np.zeros_like(visits), where=visits > 0)
+    return root.candidates[int(means.argmax())]
 
 
 def compute_pattern_mcts(
@@ -548,11 +522,10 @@ def compute_pattern_mcts_traced(
     out = MctsTrace()
     scores = out.iteration_scores
     prefix: tuple = ()
-    pace = Pace(cfg.max_iterations)
     for stage in range(beams):
         rng = np.random.default_rng(seeds[stage])
         start = len(scores)
-        action, _ = run_single_stage(ctx, prefix, beams, cfg, rng, scores, pace)
+        action, _ = run_single_stage(ctx, prefix, beams, cfg, rng, scores)
         out.stage_bounds.append((start, len(scores)))
         prefix = prefix + (action,)
     out.committed = prefix

@@ -1,5 +1,7 @@
 """Tree search: selection oracle, backup accounting, end-to-end quality."""
 
+import copy
+import functools
 import gc
 import hashlib
 import math
@@ -13,6 +15,7 @@ from hoplite.geometry import generate_grid
 from hoplite.mcts import (
     MctsConfig,
     SearchNode,
+    backlog_shares,
     backup,
     compute_pattern_mcts,
     compute_pattern_mcts_traced,
@@ -46,23 +49,93 @@ def selection_value(cell, selected, queue_totals, grid, d_max=None) -> float:
     return demand_term + (dist_sum / dist_max if dist_max > 0 else 0.0)
 
 
+class Iterations:
+    """Every iteration of the stages run while installed, as the search ran
+    it, on either path.
+
+    ``leaves`` holds each iteration's leaf prefix and rollout score, in
+    order: a batch of the two-level path counts up to the run
+    :func:`mcts._root_run` confirmed (the forced first visits all count),
+    and the general path counts each scalar rollout. ``roots`` holds the
+    root's statistics wherever the search holds them, keyed by the
+    iterations done: before and after each confirmed run, at the hand-off
+    and after each general-path iteration. ``handoff`` is the iteration
+    count and a copy of the tree built at a hand-off, if there was one.
+    """
+
+    def __init__(self, monkeypatch):
+        self.leaves, self.roots, self.handoff = [], {}, None
+        self.pending = None  # the last scored batch, not yet counted
+        self.uct_calls = self.scalar_calls = 0
+        handlers = {"_rollout_scores": self.scored, "_root_run": self.confirmed,
+                    "simulate": self.rolled_out, "backup": self.backed_up,
+                    "uct_select": self.selected, "_two_level_tree": self.built}
+        for name, handler in handlers.items():
+            monkeypatch.setattr(mcts, name, functools.partial(handler, getattr(mcts, name)))
+
+    def flush(self):
+        if self.pending is not None:
+            self.leaves += zip(*self.pending)
+            self.pending = None
+
+    def checkpoint(self, root):
+        self.roots[len(self.leaves)] = root_stats(root)
+
+    def scored(self, inner, ctx, prefix, tails, beams, keys):
+        self.flush()
+        scores = inner(ctx, prefix, tails, beams, keys)
+        self.pending = ([prefix + tuple(tail) for tail in tails], list(scores))
+        return scores
+
+    def confirmed(self, inner, root, slots, scores, c):
+        self.checkpoint(root)
+        run = inner(root, slots, scores, c)
+        leaves, batch = self.pending
+        self.pending = (leaves[:run], batch[:run])
+        self.flush()
+        self.checkpoint(root)
+        return run
+
+    def rolled_out(self, inner, node, ctx, beams, keys):
+        self.flush()
+        self.scalar_calls += 1
+        score = inner(node, ctx, beams, keys)
+        self.leaves.append((node.prefix, score))
+        return score
+
+    def backed_up(self, inner, path, score):
+        inner(path, score)
+        self.checkpoint(path[0])
+
+    def selected(self, inner, node, c):
+        self.uct_calls += 1
+        return inner(node, c)
+
+    def built(self, inner, root, *args):
+        self.flush()
+        inner(root, *args)
+        self.handoff = (len(self.leaves), copy.deepcopy(root))
+        self.checkpoint(root)
+
+    def by_leaf(self) -> dict:
+        """Per leaf prefix, the scores of the rollouts launched from it."""
+        self.flush()
+        launched = {}
+        for leaf, score in self.leaves:
+            launched.setdefault(leaf, []).append(score)
+        return launched
+
+
+def root_stats(root):
+    """What both search paths hold at the root."""
+    return (root.prefix, list(root.remaining), list(root.candidates), root.visit_count,
+            root.score_sum.hex(), root.child_visits.tolist(), root.child_sums.tolist())
+
+
 @pytest.fixture
 def rollouts(monkeypatch):
-    """Per node id, the scores of the rollouts launched from that node.
-
-    Every rollout, batched (root sweep, UCT look-ahead) or not, is backed up
-    once along its root-to-leaf path, so the path's last node is where it
-    started.
-    """
-    launched = {}
-    add = mcts.backup
-
-    def recorded(path, score):
-        launched.setdefault(id(path[-1]), []).append(score)
-        return add(path, score)
-
-    monkeypatch.setattr(mcts, "backup", recorded)
-    return launched
+    """Records every iteration of the stages the test runs."""
+    return Iterations(monkeypatch)
 
 # -- selection ----------------------------------------------------------------
 
@@ -154,12 +227,16 @@ def walk(node):
 
 
 def test_subtree_sums_recompute_exactly(grid8, budget8, params, rollouts):
+    # 8 cells and 200 iterations: the stage hands off, so the root is the
+    # whole tree, and its first iterations ran on the two-level path.
     ctx = build_ctx(grid8, budget8, params, np.arange(8, dtype=float) * 80, beams=3)
     rng = np.random.default_rng(5)
     _, root = run_single_stage(ctx, (), 3, MctsConfig(max_iterations=200), rng)
-    assert sum(len(scores) for scores in rollouts.values()) == 200
+    assert rollouts.handoff is not None
+    launched = rollouts.by_leaf()
+    assert sum(len(scores) for scores in launched.values()) == 200
     for node in walk(root):
-        own = rollouts.get(id(node), [])
+        own = launched.get(node.prefix, [])
         child_visits = sum(c.visit_count for c in node.children.values())
         child_sums = sum(c.score_sum for c in node.children.values())
         assert node.visit_count == len(own) + child_visits
@@ -176,12 +253,14 @@ def test_subtree_sums_recompute_exactly(grid8, budget8, params, rollouts):
 
 def test_stage_tree_needs_no_cycle_collector(ctx37):
     # Nodes hold no parent pointer, so a finished stage's tree is freed by
-    # reference counting alone and leaves the cycle collector nothing.
+    # reference counting alone and leaves the cycle collector nothing. Five
+    # candidates per node make the stage hand off and build a tree.
     gc.collect()
     gc.disable()
     try:
         rng = np.random.default_rng(3)
-        _, root = run_single_stage(ctx37, (), 9, MctsConfig(max_iterations=100), rng)
+        cfg = MctsConfig(max_iterations=100, pruning_enabled=True, prune_width=5)
+        _, root = run_single_stage(ctx37, (), 9, cfg, rng)
         assert sum(1 for _ in walk(root)) > 50
         del root
         assert gc.collect() == 0
@@ -189,24 +268,42 @@ def test_stage_tree_needs_no_cycle_collector(ctx37):
         gc.enable()
 
 
-def test_stage_creates_at_most_one_node_per_iteration(params):
-    # Children are created on first descent, so a 127-cell stage holds the
-    # root plus one node per rollout, not one node per candidate cell.
-    grid = generate_grid(6)
-    rng = np.random.default_rng(31)
-    totals = rng.integers(0, 20000, size=grid.n_cells).astype(float)
-    ctx = build_ctx(grid, build_link_budget(grid, params), params, totals, beams=31)
-    _, root = run_single_stage(ctx, (), 31, MctsConfig(max_iterations=200), rng)
-    assert root.visit_count == 200
-    assert sum(1 for _ in walk(root)) <= 201
+def test_stage_creates_at_most_one_node_per_iteration(params, monkeypatch):
+    # A 127-cell stage stays on the two-level path and creates its root
+    # alone; a stage that hands off (37 cells, 5 candidates per node) holds
+    # the root plus at most one node per rollout, not one per candidate.
+    created = []
+
+    class Counted(SearchNode):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            created.append(args[0])
+            super().__init__(*args)
+
+    monkeypatch.setattr(mcts, "SearchNode", Counted)
+    for rings, beams, handoff in ((6, 31, False), (3, 9, True)):
+        created.clear()
+        grid = generate_grid(rings)
+        rng = np.random.default_rng(31)
+        totals = rng.integers(0, 20000, size=grid.n_cells).astype(float)
+        ctx = build_ctx(grid, build_link_budget(grid, params), params, totals, beams=beams)
+        cfg = MctsConfig(max_iterations=200, pruning_enabled=handoff, prune_width=5)
+        _, root = run_single_stage(ctx, (), beams, cfg, rng)
+        assert root.visit_count == 200
+        assert bool(root.children) == handoff
+        if handoff:
+            assert sum(1 for _ in walk(root)) <= 201
+        else:
+            assert created == [()]
 
 
 def test_root_visit_accounting(grid8, budget8, params, rollouts):
     ctx = build_ctx(grid8, budget8, params, np.full(8, 100.0), beams=3)
     rng = np.random.default_rng(9)
     _, root = run_single_stage(ctx, (), 3, MctsConfig(max_iterations=120), rng)
-    assert id(root) not in rollouts  # every iteration descends into a child
-    assert sum(c.visit_count for c in root.children.values()) == root.visit_count == 120
+    assert () not in rollouts.by_leaf()  # every iteration descends into a child
+    assert root.child_visits.sum() == root.visit_count == 120
 
 
 # -- rollouts -----------------------------------------------------------------
@@ -264,27 +361,46 @@ def test_rollout_takes_unchosen_cells_with_smallest_keys(ctx37):
 # -- batched stage ----------------------------------------------------------------
 
 
-def stage_one_at_a_time(ctx, prefix, beams, cfg, rng, trace_scores):
+def expansion_oracle(node, ctx, cfg, beams):
+    """The sorted candidates of ``node``, from :func:`pruned_actions` with
+    its backlog term computed on every call."""
+    if not cfg.pruning_enabled:
+        return node.remaining
+    width = cfg.prune_width if cfg.prune_width is not None else beams
+    return sorted(pruned_actions(node.remaining, node.prefix, ctx.queue_totals, ctx.grid, width))
+
+
+def stage_one_at_a_time(ctx, prefix, beams, cfg, rng, stop=None):
     """Reference stage: every iteration descends, rolls out with the scalar
-    scorer and backs up on its own, key row t completing iteration t."""
+    scorer and backs up on its own, key row t completing iteration t.
+
+    Returns the commit, the tree after ``stop`` iterations (default: all),
+    each iteration's leaf prefix and score, and the root's statistics after
+    every iteration (index t: after t iterations).
+    """
     prefix = tuple(prefix)
     n = ctx.grid.n_cells
     keys = rng.random((cfg.max_iterations, n))
     root = SearchNode(prefix, [cell for cell in range(n) if cell not in prefix])
-    for t in range(cfg.max_iterations):
+    root.expand(expansion_oracle(root, ctx, cfg, beams))
+    leaves, roots = [], [root_stats(root)]
+    for t in range(cfg.max_iterations if stop is None else stop):
         node, path = root, [root]
         while not node.is_terminal(beams):
             if node.visit_count == 0 and node is not root:
                 break
             if not node.candidates:
-                mcts._expand(node, ctx, cfg, beams)
+                node.expand(expansion_oracle(node, ctx, cfg, beams))
             action = uct_select(node, cfg.exploration_constant)
             node = node.children.get(action) or node.add_child(action)
             path.append(node)
         score = simulate(node, ctx, beams, keys[t])
         backup(path, score)
-        trace_scores.append(score)
-    return mcts._commit(root), root
+        leaves.append((node.prefix, score))
+        roots.append(root_stats(root))
+    mean = lambda child: child.score_sum / child.visit_count
+    best = max(root.children.items(), key=lambda item: (mean(item[1]), -item[0]))
+    return best[0], root, leaves, roots
 
 
 def same_tree(a, b):
@@ -298,6 +414,31 @@ def same_tree(a, b):
     assert list(a.children) == list(b.children)
     for action, child in a.children.items():
         same_tree(child, b.children[action])
+
+
+def check_stage(monkeypatch, ctx, prefix, beams, cfg) -> Iterations:
+    """Run one stage and the reference on the same key rows, and check what
+    both hold: the commit, every rollout score bit for bit, the ordered
+    leaf sequence, the root's statistics wherever the search holds them,
+    and the tree wherever it builds one (at a hand-off and at the end)."""
+    rng = lambda: np.random.default_rng(61)
+    ref_action, ref_root, ref_leaves, ref_roots = stage_one_at_a_time(
+        ctx, prefix, beams, cfg, rng())
+    record, scores = Iterations(monkeypatch), []
+    action, root = run_single_stage(ctx, prefix, beams, cfg, rng(), scores)
+    record.flush()
+    assert action == ref_action
+    assert [s.hex() for s in scores] == [s.hex() for _, s in ref_leaves]
+    assert record.leaves == ref_leaves
+    for t, stats in record.roots.items():
+        assert stats == ref_roots[t], t
+    assert root_stats(root) == ref_roots[-1]
+    if root.children:
+        same_tree(root, ref_root)
+    if record.handoff is not None:
+        t, tree = record.handoff
+        same_tree(tree, stage_one_at_a_time(ctx, prefix, beams, cfg, rng(), stop=t)[1])
+    return record
 
 
 @pytest.mark.parametrize(
@@ -328,32 +469,45 @@ def test_batched_sweep_matches_one_iteration_at_a_time(
 ):
     # Below the root candidate count (the unchosen cells plain, the width
     # pruned) the whole stage is the sweep; above it the UCT phase follows,
-    # whose predicted leaves are scored in batches and replayed on true
+    # whose predicted leaves are scored in batches and confirmed on true
     # scores: a prediction that misses (c = 0 forces many; deep pruned
     # trees at c = 0.5 too) may cost time only. A prefix of beams - 1 cells
     # makes the stage the last one, whose root children are terminal.
     ctx = request.getfixturevalue(ctx_name)
     cfg = MctsConfig(max_iterations=iterations, exploration_constant=c,
                      pruning_enabled=pruning, prune_width=width)
-    ref_scores, got_scores = [], []
-    ref_action, ref_root = stage_one_at_a_time(
-        ctx, prefix, beams, cfg, np.random.default_rng(61), ref_scores)
-    scalar, root_uct = [], []
-    rollout, select = mcts.simulate, mcts.uct_select
-    monkeypatch.setattr(mcts, "simulate", lambda *a: scalar.append(1) or rollout(*a))
-    monkeypatch.setattr(mcts, "uct_select", lambda node, c: root_uct.append(
-        len(node.prefix) == len(prefix)) or select(node, c))
-    action, root = run_single_stage(
-        ctx, prefix, beams, cfg, np.random.default_rng(61), got_scores)
-    assert action == ref_action
-    assert [s.hex() for s in got_scores] == [s.hex() for s in ref_scores]
-    same_tree(root, ref_root)
+    record = check_stage(monkeypatch, ctx, prefix, beams, cfg)
     if ctx_name == "ctx127":
-        # Shallow unpruned trees are predictable: most of the UCT phase is
-        # scored in batches, and most of its root choices are checked in
-        # arrays instead of made by ``uct_select``.
-        assert len(scalar) < (iterations - len(root.candidates)) / 2
-        assert sum(root_uct) < (iterations - len(root.candidates)) / 2
+        # A 127-cell stage never runs out of untried grandchildren: it stays
+        # on the two-level path, with no scalar rollout and no uct_select.
+        assert record.scalar_calls == record.uct_calls == 0
+
+
+@pytest.mark.parametrize(
+    "prefix, iterations, pruning, width, c, handoff",
+    [((5, 20), 200, False, None, 0.0, True), ((), 400, True, 18, 0.5, True),
+     ((3, 30), 400, True, 18, 0.5, True),
+     (tuple(range(0, 32, 4)), 200, False, None, SQRT2, False)],
+    ids=["plain200", "gates", "gates_prefix", "last_stage"],
+)
+def test_hand_off_builds_the_one_at_a_time_tree(
+    ctx37, monkeypatch, prefix, iterations, pruning, width, c, handoff
+):
+    # The first time UCT chooses a root child with no untried candidate
+    # left, the tree built from the iterations so far is the reference's
+    # tree at that iteration (checked by check_stage), and the general path
+    # runs the rest of the stage. Plain 37-cell stages of 200 iterations
+    # hand off only with little exploration (c = 0 here), pruned ones at
+    # the gates' settings do. Terminal root children never run out, so a
+    # last stage stays on the two-level path.
+    cfg = MctsConfig(max_iterations=iterations, exploration_constant=c,
+                     pruning_enabled=pruning, prune_width=width)
+    record = check_stage(monkeypatch, ctx37, prefix, 9, cfg)
+    assert (record.handoff is not None) == handoff
+    if handoff:
+        assert record.scalar_calls == iterations - record.handoff[0] > 0
+    else:
+        assert record.scalar_calls == record.uct_calls == 0
 
 
 # -- root check -------------------------------------------------------------------
@@ -370,10 +524,18 @@ def first_root_miss(root, slots, scores, c):
 
 
 def root_copy(root):
-    copy = make_parent({a: (child.visit_count, child.score_sum)
-                        for a, child in root.children.items()})
-    copy.visit_count = root.visit_count
-    return copy
+    twin = make_parent({a: (int(v), s) for a, v, s in zip(
+        root.candidates, root.child_visits.tolist(), root.child_sums.tolist())})
+    twin.visit_count = root.visit_count
+    return twin
+
+
+def check_root_run(root, slots, scores, c):
+    """``_root_run`` on a copy of ``root`` confirms as many iterations as
+    :func:`first_root_miss` on another, and leaves the same statistics."""
+    got, ref = root_copy(root), root_copy(root)
+    assert mcts._root_run(got, slots, scores, c) == first_root_miss(ref, slots, scores, c)
+    assert root_stats(got) == root_stats(ref)
 
 
 def checked_runs(root, rng, c, rows, score_of):
@@ -410,8 +572,7 @@ def test_root_run_matches_uct_one_iteration_at_a_time(c):
         rows = int(rng.integers(1, 90))
         for slots, scores in checked_runs(
                 root, rng, c, rows, lambda _: float(rng.integers(0, 4)) / 4):
-            got = mcts._root_run(root, slots, scores, c)
-            assert got == first_root_miss(root_copy(root), slots, scores, c)
+            check_root_run(root, slots, scores, c)
 
 
 def test_root_run_on_terminal_children(ctx37):
@@ -421,12 +582,11 @@ def test_root_run_on_terminal_children(ctx37):
     for c in (0.0, 0.5, SQRT2):
         cfg = MctsConfig(max_iterations=29, exploration_constant=c)
         _, root = run_single_stage(ctx37, prefix, 9, cfg, np.random.default_rng(3))
-        assert all(child.is_terminal(9) for child in root.children.values())
-        means = [root.children[a].mean_score() for a in root.candidates]
+        assert not root.children  # the two-level path ran the whole stage
+        means = (root.child_sums / root.child_visits).tolist()
         rng = np.random.default_rng(5)
         for slots, scores in checked_runs(root, rng, c, 80, means.__getitem__):
-            got = mcts._root_run(root, slots, scores, c)
-            assert got == first_root_miss(root_copy(root), slots, scores, c)
+            check_root_run(root, slots, scores, c)
 
 
 def test_root_run_breaks_exact_ties_as_uct():
@@ -453,8 +613,7 @@ def test_root_run_breaks_exact_ties_as_uct():
                 root.visit_count = int(n)
                 tied += 1
                 for slots in ([0] * 3, [1] * 3):
-                    assert mcts._root_run(root, slots, [0.25] * 3, c) == first_root_miss(
-                        root_copy(root), slots, [0.25] * 3, c)
+                    check_root_run(root, slots, [0.25] * 3, c)
     assert tied > 20
 
 
@@ -497,6 +656,11 @@ def test_selection_values_vectorized_match(grid37):
         assert vec[idx] == pytest.approx(
             selection_value(cell, selected, totals, grid37), rel=1e-12
         )
+    # A search computes the backlog term once per stage: the same floats.
+    assert backlog_shares(totals).tolist() == [x / totals.max() for x in totals.tolist()]
+    for queue in (totals, np.zeros(37)):
+        shared = selection_values(candidates, selected, queue, grid37, backlog_shares(queue))
+        assert shared.tolist() == selection_values(candidates, selected, queue, grid37).tolist()
 
 
 def test_pruned_actions_sort_oracle(grid37):
@@ -524,9 +688,9 @@ def test_pruning_limits_root_branching(grid37, budget37, params, ctx37):
     cfg = MctsConfig(max_iterations=60, pruning_enabled=True, prune_width=5)
     rng = np.random.default_rng(19)
     _, root = run_single_stage(ctx37, (), 9, cfg, rng)
-    assert len(root.children) == 5
     oracle = pruned_actions(range(37), (), ctx37.queue_totals, grid37, 5)
-    assert sorted(root.children) == sorted(oracle)
+    assert root.candidates == sorted(oracle)
+    assert root.child_visits.all()
 
 
 # -- full pattern computation -----------------------------------------------------
