@@ -9,15 +9,18 @@ change in behaviour:
 Sections:
   rings<r>.*   both scorers on 3000 seeded patterns (Ds of 0, 1, 1.5, 3 and 100
                cell diameters: the empty window, both sides of the subset
-               table's window limit and the whole grid), and `score_batch`
-               on the same patterns with each backend (`batch_sliding`,
-               `batch_brute`; the script exits non-zero unless they equal
-               the scalar scores bit for bit), plain and pruned MCTS
-               patterns, greedy and MCTS plans, on 20 demand vectors at
-               rings 3 and at rings 6;
+               table's window limit and the whole grid), `score_batch` on
+               the same patterns on the Ds context and on a
+               `backend="bruteforce"` one (`batch_sliding`, `batch_brute`),
+               `score_pattern` and `score_batch` on a `ds_km=math.inf` one
+               (`unbounded`, `batch_unbounded`); the script exits non-zero
+               unless the batch scores equal the scalar scores, and the
+               unbounded scores the brute-force ones, bit for bit. Then
+               plain and pruned MCTS patterns, greedy and MCTS plans, on
+               20 demand vectors at rings 3 and at rings 6;
   run_all.*    every sweep of `run_all` on a small config, once with defaults
-               and once with pruning, prune_width=4 and the brute-force
-               backend (timing columns stripped);
+               and once with pruning, prune_width=4 and the full-pair scorer
+               (`ds_diameters=math.inf`; timing columns stripped);
   search       pattern and rollout-score list of 60 seeded MCTS searches,
                above and below the root candidate count, plain and pruned;
   planner.*    sync-, thread- and process-mode planners fed a fixed request
@@ -29,6 +32,7 @@ Takes a few minutes on two cores.
 
 import hashlib
 import json
+import math
 import sys
 import tempfile
 from dataclasses import replace
@@ -52,6 +56,7 @@ from hoplite.scoring import (
     omega_max_for,
     score_batch,
     score_bruteforce,
+    score_pattern,
     score_sliding_window,
 )
 
@@ -80,7 +85,8 @@ def system(rings: int):
 
 
 def scorers_and_plans(out: dict) -> list[str]:
-    """Fills ``out``; returns the sections where the batch and scalar scores differ."""
+    """Fills ``out``; returns the sections whose scores differ from the
+    scalar scorer's they must equal."""
     mismatched = []
     for rings in (3, 6):
         grid, budget, beams, cfg = system(rings)
@@ -88,16 +94,19 @@ def scorers_and_plans(out: dict) -> list[str]:
         settings = PlannerSettings(beams=beams, horizon_slots=3)
         c0 = default_c_max(budget, PARAMS, settings)
         res = {k: [] for k in ("mcts", "mcts_pruned", "greedy", "plan_mcts", "brute", "sliding",
-                               "batch_brute", "batch_sliding")}
+                               "batch_brute", "batch_sliding", "unbounded", "batch_unbounded")}
         for i in range(20):
             rates = scaled_demand(grid, 0.6 + 0.05 * i, beams, c0, cfg, seed=1000 + i)
             totals = np.rint(rates * 3)
             mc = MctsConfig(max_iterations=40, rng_seed=(rings, i))
+            omega_max = omega_max_for(budget, PARAMS, beams, 0.1)
+            unbounded = make_score_context(grid, budget, PARAMS, totals, ds_km=math.inf,
+                                           omega_max=omega_max)
             for ds in (0.0, 1.0, 1.5, 3.0, 100.0):
                 ctx, brute_ctx = (
                     make_score_context(grid, budget, PARAMS, totals,
                                        ds_km=ds * grid.cell_diameter, backend=backend,
-                                       omega_max=omega_max_for(budget, PARAMS, beams, 0.1))
+                                       omega_max=omega_max)
                     for backend in ("sliding", "bruteforce"))
                 rng = np.random.default_rng((rings, i, int(2 * ds)))
                 patterns = []
@@ -105,11 +114,12 @@ def scorers_and_plans(out: dict) -> list[str]:
                     p = tuple(int(c) for c in rng.choice(n, size=beams, replace=False))
                     res["brute"].append(score_bruteforce(p, ctx, beams).hex())
                     res["sliding"].append(score_sliding_window(p, ctx, beams).hex())
+                    res["unbounded"].append(score_pattern(p, unbounded, beams).hex())
                     patterns.append(p)
-                for key, c in (("batch_sliding", ctx), ("batch_brute", brute_ctx)):
+                for key, c in (("batch_sliding", ctx), ("batch_brute", brute_ctx),
+                               ("batch_unbounded", unbounded)):
                     res[key].extend(s.hex() for s in score_batch(np.array(patterns), c).tolist())
-            ctx = make_score_context(grid, budget, PARAMS, totals,
-                                     omega_max=omega_max_for(budget, PARAMS, beams, 0.1))
+            ctx = make_score_context(grid, budget, PARAMS, totals, omega_max=omega_max)
             res["mcts"].append(compute_pattern_mcts(ctx, totals, beams, mc))
             res["mcts_pruned"].append(compute_pattern_mcts(
                 ctx, totals, beams, replace(mc, pruning_enabled=True)))
@@ -119,15 +129,17 @@ def scorers_and_plans(out: dict) -> list[str]:
                                               replace(mc, max_iterations=20)))
         for k, v in res.items():
             out[f"rings{rings}.{k}"] = f"{len(v)} items {digest(v)}"
-        mismatched += [f"rings{rings}.batch_{k}" for k in ("brute", "sliding")
-                       if res[f"batch_{k}"] != res[k]]
+        expected = {"batch_brute": "brute", "batch_sliding": "sliding",
+                    "unbounded": "brute", "batch_unbounded": "brute"}
+        mismatched += [f"rings{rings}.{k} != {v}" for k, v in expected.items()
+                       if res[k] != res[v]]
     return mismatched
 
 
 def sweeps(out: dict):
     variants = (("", {}),
                 ("pruned_brute.", {"mcts_pruning": True, "prune_width": 4,
-                                   "backend": "bruteforce"}))
+                                   "ds_diameters": math.inf}))
     for tag, extra in variants:
         with tempfile.TemporaryDirectory() as tmp:
             cfg = ExperimentConfig(
@@ -212,7 +224,7 @@ def main() -> int:
         Path(sys.argv[1]).write_text(text)
     print(text, end="")
     for key in mismatched:
-        print(f"score_batch differs from the scalar scorer: {key}", file=sys.stderr)
+        print(f"scores differ: {key}", file=sys.stderr)
     return 1 if mismatched else 0
 
 

@@ -107,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, help="JSON experiment config")
     p_run.set_defaults(fn=_cmd_run)
 
-    p_bench = sub.add_parser("bench-scoring", help="time the two scorer backends")
+    p_bench = sub.add_parser("bench-scoring", help="time the full-pair scorer against the Ds window")
     p_bench.add_argument("--rings", type=int, nargs="+", default=[3, 4, 5, 6])
     p_bench.add_argument("--ds", type=float, default=1.0, help="window in cell diameters")
     p_bench.add_argument("--patterns", type=int, default=50)

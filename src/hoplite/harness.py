@@ -57,8 +57,7 @@ class ExperimentConfig:
     slot_s: float = 0.1
     packet_bits: float = 1500 * 8.0
     ttl_slots: int = 20
-    backend: str = "sliding"
-    ds_diameters: float = 1.0
+    ds_diameters: float = 1.0  # math.inf (JSON Infinity) -> full-pair scoring
     demand_profile: str = "clustered"  # "clustered" | "uniform" hotspot layout
     hotspot_count: int = 12
     hotspot_multiplier: float = 6.0
@@ -114,7 +113,7 @@ def build_system(cfg: ExperimentConfig, rings: int | None = None) -> System:
     settings = PlannerSettings(
         beams=cfg.beams_for(grid.n_cells), horizon_slots=cfg.horizon_slots, slot_s=cfg.slot_s,
         packet_bits=cfg.packet_bits, ttl_slots=cfg.ttl_slots,
-        ds_km=cfg.ds_diameters * grid.cell_diameter, backend=cfg.backend,
+        ds_km=cfg.ds_diameters * grid.cell_diameter,
     )
     return System(grid, LinkParams(), settings)
 
@@ -362,10 +361,8 @@ def run_ds_sweep(cfg: ExperimentConfig, patterns_per_ds: int = 30) -> list[dict]
     rng = np.random.default_rng(_entropy(505, n))
     totals = rng.integers(0, 20000, size=n).astype(float)
     patterns = [pattern_random(n, beams, rng) for _ in range(patterns_per_ds)]
-    # One system per Ds; plans use the sliding scorer, the one Ds acts on.
     systems = [
-        replace(system, settings=replace(
-            system.settings, ds_km=ds * grid.cell_diameter, backend="sliding"))
+        replace(system, settings=replace(system.settings, ds_km=ds * grid.cell_diameter))
         for ds in cfg.ds_levels
     ]
     contexts = [s.score_context(totals) for s in systems]

@@ -57,8 +57,7 @@ class PlannerSettings:
     slot_s: float = 0.1
     packet_bits: float = 1500 * 8.0
     ttl_slots: int = 20
-    ds_km: float | None = None  # None -> one cell diameter
-    backend: str = "sliding"
+    ds_km: float | None = None  # None -> one cell diameter; inf -> full-pair scoring
 
     def __post_init__(self):
         if self.beams < 1 or self.horizon_slots < 1:
@@ -123,7 +122,7 @@ class System:
         s = self.settings
         return make_score_context(
             self.grid, self.budget, self.params, np.zeros(self.grid.n_cells), slot_s=s.slot_s,
-            packet_bits=s.packet_bits, ds_km=s.ds_km, backend=s.backend,
+            packet_bits=s.packet_bits, ds_km=s.ds_km,
             omega_max=omega_max_for(self.budget, self.params, s.beams, s.slot_s),
         )
 

@@ -1,19 +1,21 @@
-"""Illumination-pattern scoring: brute force and sliding-window backends.
+"""Illumination-pattern scoring on the sliding interference window.
 
 A pattern's score is the normalized one-slot throughput it would deliver
-against the current queue backlog. The brute-force backend charges every
-served cell with interference from all other served cells (O(K^2) pair
-terms). The sliding-window backend charges each served cell only with the
-co-served cells inside the square window of half-width Ds (the interference
-distance threshold on both axes), so pair terms drop to O(K * window). The
-window depends on the grid and Ds alone, so the paper's three-pointer scan
-runs once per context, over the whole x-sorted grid, and each score only
-filters the stored window of each served cell by pattern membership. Both
-backends end in the same SINR -> Shannon -> backlog-cap tail.
+against the current queue backlog. Each served cell is charged only with
+the co-served cells inside the square window of half-width Ds (the
+interference distance threshold on both axes), so pair terms drop from
+O(K^2) to O(K * window). The window depends on the grid and Ds alone, so
+the paper's three-pointer scan runs once per context, over the whole
+x-sorted grid, and each score only filters the stored window of each served
+cell by pattern membership. An unbounded Ds (``math.inf``) puts every other
+cell in each window: the full-pair model, which :func:`score_bruteforce`
+also computes directly over the pattern's pairs as the reference and the
+paper's timing baseline. Both end in the same SINR -> Shannon ->
+backlog-cap tail.
 
 The scalar kernels deliberately run on plain Python floats: per-call array
-overhead would otherwise dwarf the per-interferer work these backends differ
-in, making the asymptotic win invisible at desk scale. :func:`score_batch`
+overhead would otherwise dwarf the per-interferer work the window saves,
+making the asymptotic win invisible at desk scale. :func:`score_batch`
 scores many patterns at once on a padded per-cell window table built with
 the context, and equals :func:`score_pattern` on every row bit for bit.
 Where every window holds at most ``TABLE_WINDOW_MAX`` cells (6 at the
@@ -22,8 +24,8 @@ cell's deliverable bits up in a per-cell subset table instead: one entry
 per cell and subset of its window, each summed in window order and passed
 through ``math.log2`` like the scalar scorers do. The table is built on the
 first batch and shared by every context :func:`with_queue_totals` derives.
-Wider windows (Ds of 1.5 diameters and up, or the whole grid for
-"bruteforce") sum each served cell's co-served window gains instead.
+Wider windows (Ds of 1.5 diameters and up, or the whole grid at an
+unbounded Ds) sum each served cell's co-served window gains instead.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ import numpy as np
 from .channel import LinkBudget, LinkParams, boresight_snr
 from .geometry import CellGrid
 
-BACKENDS = ("bruteforce", "sliding")
 # Widest window :func:`score_batch` scores from the per-cell subset table
 # (2**width entries per cell); wider windows sum their gains per row.
 TABLE_WINDOW_MAX = 8
@@ -61,20 +62,21 @@ class ScoreContext:
     packet_bits: float = 1500 * 8.0
     ds_km: float = 942.0
     omega_max: float = 1.0
-    backend: str = "sliding"
     # Python-native caches for the scoring hot path.
     gain_cols: list = field(repr=False, default_factory=list)
     # window[c] = the cells within ds_km of cell c on both axes, ascending
     # in x-rank: the grid-wide three-pointer scan, done once per context.
+    # At ds_km = inf it holds every other cell.
     window: list = field(repr=False, default_factory=list)
     # rank_list[c] = position of cell c in grid.sorted_by_x; sorting a
     # pattern by rank gives its cells in ascending x in O(K log K).
     rank_list: list = field(repr=False, default_factory=list)
+    # The valid cell ids, for the scalar scorers' range check.
+    cell_ids: frozenset = field(repr=False, default=frozenset())
     queue_bits: list = field(repr=False, default_factory=list)
     # Padded n x W window table for :func:`score_batch`: batch_window[c] is
-    # window[c] (the whole grid but c for "bruteforce") filled up with the
-    # never-served index n, batch_gain[c] the matching gains into c (0.0 at
-    # the pads).
+    # window[c] filled up with the never-served index n, batch_gain[c] the
+    # matching gains into c (0.0 at the pads).
     batch_window: np.ndarray = field(repr=False, default=None)
     batch_gain: np.ndarray = field(repr=False, default=None)
     # Tables built on first use, shared by every context derived from this
@@ -86,8 +88,6 @@ class ScoreContext:
             raise ValueError("omega_max must be positive")
         if self.ds_km < 0:
             raise ValueError("interference distance threshold must be >= 0")
-        if self.backend not in BACKENDS:
-            raise ValueError(f"unknown scorer backend {self.backend!r}")
 
 
 def make_score_context(
@@ -109,7 +109,15 @@ def make_score_context(
     [0, 1] once divided by it (the beam count is folded in by the caller via
     ``omega_max_for``; here the per-slot best case uses the grid-independent
     boresight SNR).
+
+    ``backend="bruteforce"`` names the full-pair model, which is the window
+    of an unbounded Ds: it sets ``ds_km`` to infinity. ``"sliding"`` keeps
+    ``ds_km``; any other name is rejected.
     """
+    if backend == "bruteforce":
+        ds_km = math.inf
+    elif backend != "sliding":
+        raise ValueError(f"unknown scorer backend {backend!r}")
     totals = np.asarray(queue_totals, dtype=float)
     if totals.shape != (grid.n_cells,):
         raise ValueError("queue_totals must be a per-cell vector")
@@ -122,10 +130,7 @@ def make_score_context(
     order = grid.sorted_by_x.tolist()
     window = interference_cells_sliding_window(order, grid, float(ds_km))
     window = [window[c] for c in range(grid.n_cells)]
-    batch_window, batch_gain = _batch_tables(
-        budget.gain2, [[l for l in order if l != c] for c in range(grid.n_cells)]
-        if backend == "bruteforce" else window,
-    )
+    batch_window, batch_gain = _batch_tables(budget.gain2, window)
     return ScoreContext(
         grid=grid,
         budget=budget,
@@ -135,10 +140,10 @@ def make_score_context(
         packet_bits=packet_bits,
         ds_km=float(ds_km),
         omega_max=float(omega_max),
-        backend=backend,
         gain_cols=budget.gain2.T.tolist(),
         window=window,
         rank_list=ranks.tolist(),
+        cell_ids=frozenset(range(grid.n_cells)),
         queue_bits=(totals * packet_bits).tolist(),
         batch_window=batch_window,
         batch_gain=batch_gain,
@@ -249,45 +254,40 @@ def _served_bits(served, accs, ctx: ScoreContext) -> float:
     return total
 
 
-def _sum_omegas(served, interferers_of, ctx: ScoreContext) -> float:
-    """One-slot deliverable bits with each cell's interferers enumerated.
-
-    ``served`` and each ``interferers_of(n)`` must follow the module's fixed
-    summation order (ascending x-rank) so both backends produce identical
-    floating-point sums whenever their interferer sets agree.
-    """
-    gain_cols = ctx.gain_cols
-    accs = []
-    for n in served:
-        col = gain_cols[n]
-        acc = 0.0
-        for l in interferers_of(n):
-            acc += col[l]
-        accs.append(acc)
-    return _served_bits(served, accs, ctx)
-
-
 def _check_cardinality(pattern, ctx: ScoreContext, expected: int | None) -> set:
-    """The pattern's cells as a set, after checking count and duplicates."""
+    """The pattern's cells as a set, after checking count, range and duplicates."""
     if expected is not None and len(pattern) != expected:
         raise ValueError(f"pattern has {len(pattern)} cells, expected {expected}")
     served = set(pattern)
     if len(served) != len(pattern):
         raise ValueError("pattern has duplicate cells")
+    if not served <= ctx.cell_ids:
+        raise ValueError("pattern cell out of range")
     return served
 
 
 def score_bruteforce(
     pattern, ctx: ScoreContext, expected_beams: int | None = None
 ) -> float:
-    """Normalized score with interference from all other served cells."""
+    """Normalized score with interference from all other served cells.
+
+    The full-pair reference: each served cell sums the gains of every other
+    served cell in ascending x-rank, the order in which
+    :func:`score_sliding_window` walks a window, so the two agree bit for
+    bit on a window covering the whole grid (Ds = inf).
+    """
     _check_cardinality(pattern, ctx, expected_beams)
     served = sorted(pattern, key=ctx.rank_list.__getitem__)
-
-    def interferers(n):
-        return (l for l in served if l != n)
-
-    return _sum_omegas(served, interferers, ctx) / ctx.omega_max
+    gain_cols = ctx.gain_cols
+    accs = []
+    for c in served:
+        col = gain_cols[c]
+        acc = 0.0
+        for l in served:
+            if l != c:
+                acc += col[l]
+        accs.append(acc)
+    return _served_bits(served, accs, ctx) / ctx.omega_max
 
 
 def score_sliding_window(
@@ -298,8 +298,8 @@ def score_sliding_window(
     Each served cell sums the gain of the co-served cells in its stored
     window. Windows are in ascending x-rank, the order a per-pattern
     three-pointer scan adds them in, so the pair set and the summation order
-    match that scan exactly; with the window covering the whole grid this
-    equals the brute-force backend bit for bit.
+    match that scan exactly; with the window covering the whole grid
+    (Ds = inf) this equals :func:`score_bruteforce` bit for bit.
     """
     served = _check_cardinality(pattern, ctx, expected_beams)
     ordered = sorted(pattern, key=ctx.rank_list.__getitem__)
@@ -404,10 +404,6 @@ def _subset_bits(ctx: ScoreContext) -> np.ndarray:
     return _shannon_bits(ctx, np.arange(n)[:, None], acc)
 
 
-def score_pattern(
-    pattern, ctx: ScoreContext, expected_beams: int | None = None
-) -> float:
-    """Score with the backend selected on the context."""
-    if ctx.backend == "bruteforce":
-        return score_bruteforce(pattern, ctx, expected_beams)
-    return score_sliding_window(pattern, ctx, expected_beams)
+# The search's scorer. Every context scores through its window; the
+# full-pair model is the window of an unbounded Ds.
+score_pattern = score_sliding_window

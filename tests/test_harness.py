@@ -29,6 +29,7 @@ from hoplite.harness import (
     write_records_csv,
     write_records_json,
 )
+from hoplite.scoring import score_bruteforce, score_pattern
 
 
 def mean_served(records, algorithm):
@@ -78,6 +79,25 @@ def test_load_config_round_trip(tmp_path):
     assert cfg.demand_levels == (0.5, 1.0)
     assert cfg.seeds == (3, 4)
     assert cfg.horizon_slots == ExperimentConfig().horizon_slots
+
+
+def test_load_config_infinite_window_scores_all_pairs(tmp_path):
+    # JSON's Infinity is an unbounded Ds: the full-pair scorer.
+    path = tmp_path / "cfg.json"
+    path.write_text('{"rings": 2, "ds_diameters": Infinity}')
+    cfg = load_config(path)
+    assert cfg.ds_diameters == math.inf
+    system = build_system(cfg)
+    n, beams = system.grid.n_cells, system.settings.beams
+    rng = np.random.default_rng(61)
+    ctx = system.score_context(rng.integers(0, 20000, n).astype(float))
+    assert ctx.ds_km == math.inf
+    assert [sorted(w) for w in ctx.window] == [
+        [l for l in range(n) if l != c] for c in range(n)]
+    assert ctx.batch_window.shape == (n, n - 1)
+    for _ in range(20):
+        pattern = tuple(rng.choice(n, size=beams, replace=False).tolist())
+        assert score_pattern(pattern, ctx, beams) == score_bruteforce(pattern, ctx, beams)
 
 
 def test_load_config_rejects_unknown_keys(tmp_path):
@@ -218,10 +238,10 @@ def test_mcts_optimizations_reduce_pattern_time():
         bench_rings=(6,),
         algorithms=("mcts",),
         mcts_iterations=400,
-        backend="bruteforce",
+        ds_diameters=math.inf,
         mcts_pruning=False,
     )
-    opt = replace(unopt, backend="sliding", mcts_pruning=True, prune_width=40)
+    opt = replace(unopt, ds_diameters=1.0, mcts_pruning=True, prune_width=40)
     # Single runs of the two configurations alternate and each keeps its
     # fastest, so a change in host speed lands on both alike.
     t_unopt = t_opt = math.inf
@@ -235,7 +255,7 @@ def test_mcts_optimizations_reduce_pattern_time():
 
 
 def test_scoring_bench_rows_and_infinite_window_sanity():
-    # With the window wider than the grid both backends do the same pair
+    # With the window wider than the grid both scorers do the same pair
     # work, so neither should be far from the other.
     cfg = ExperimentConfig(bench_rings=(3,), ds_diameters=1e6)
     rows = run_scoring_bench(cfg, patterns_per_n=20, repeats=3)

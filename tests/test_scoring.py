@@ -1,4 +1,4 @@
-"""Pattern scoring: window extraction vs pair oracles, backend equivalence."""
+"""Pattern scoring: window extraction vs pair oracles, full-window equivalence."""
 
 import math
 from dataclasses import replace
@@ -358,6 +358,38 @@ def test_score_pattern_dispatches_backend(grid37, budget37, params):
     assert score_pattern(pattern, slide, 9) == score_sliding_window(pattern, slide, 9)
 
 
+@pytest.mark.parametrize("rings", [3, 6])
+def test_bruteforce_keyword_is_the_unbounded_window(rings, params):
+    grid = generate_grid(rings)
+    n, beams = grid.n_cells, grid.n_cells // 4
+    budget = build_link_budget(grid, params)
+    rng = np.random.default_rng((rings, 29))
+    totals = rng.integers(0, 20000, n).astype(float)
+    brute = build_ctx(grid, budget, params, totals, beams=beams, backend="bruteforce")
+    unbounded = build_ctx(grid, budget, params, totals, beams=beams, ds_km=math.inf)
+    assert brute.ds_km == unbounded.ds_km == math.inf
+    assert brute.window == unbounded.window
+    assert np.array_equal(brute.batch_window, unbounded.batch_window)
+    assert np.array_equal(brute.batch_gain, unbounded.batch_gain)
+    rows = np.array([rng.choice(n, size=beams, replace=False) for _ in range(50)])
+    patterns = list(map(tuple, rows.tolist()))
+    expect = [score_bruteforce(p, brute, beams).hex() for p in patterns]
+    for ctx in (brute, unbounded):
+        assert [score_pattern(p, ctx, beams).hex() for p in patterns] == expect
+        assert [s.hex() for s in score_batch(rows, ctx).tolist()] == expect
+
+
+@pytest.mark.parametrize(
+    "scorer", [score_bruteforce, score_sliding_window, score_pattern],
+    ids=["bruteforce", "sliding", "score_pattern"],
+)
+def test_scalar_scorers_reject_out_of_range_cells(ctx37, scorer):
+    # -37 would otherwise index cell 0 from the end: a hidden duplicate.
+    for bad in (-1, -37, 37):
+        with pytest.raises(ValueError, match="out of range"):
+            scorer((bad, 0, 1), ctx37)
+
+
 def test_cardinality_and_duplicate_checks(ctx37):
     with pytest.raises(ValueError):
         score_bruteforce((0, 1, 2), ctx37, expected_beams=9)
@@ -506,7 +538,7 @@ def test_subset_table_entries_equal_scalar_scorer(params, rings):
 
 
 def test_subset_table_equals_bruteforce_on_small_grids(grid8, budget8, params):
-    # Up to nine cells, the full-pair backend's grid-wide window fits the table.
+    # Up to nine cells, the unbounded (grid-wide) window fits the table.
     for grid, budget in ((grid8, budget8), (generate_grid(1), None)):
         budget = budget or build_link_budget(grid, params)
         n = grid.n_cells

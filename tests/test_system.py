@@ -1,5 +1,6 @@
 """The System value: one grid, link and settings, with tables built once."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -19,9 +20,10 @@ def system(request):
     return System(grid, LinkParams(), PlannerSettings(beams=grid.n_cells // 4))
 
 
-@pytest.mark.parametrize("backend", ["sliding", "bruteforce"])
-def test_score_context_matches_make_score_context(system, backend):
-    s = replace(system, settings=replace(system.settings, backend=backend, ds_km=1500.0))
+# Brute force is the full-pair model: the window of an unbounded Ds.
+@pytest.mark.parametrize("ds_km", [1500.0, math.inf], ids=["sliding", "bruteforce"])
+def test_score_context_matches_make_score_context(system, ds_km):
+    s = replace(system, settings=replace(system.settings, ds_km=ds_km))
     grid, settings = s.grid, s.settings
     n, beams = grid.n_cells, settings.beams
     rng = np.random.default_rng((n, 7))
@@ -30,7 +32,7 @@ def test_score_context_matches_make_score_context(system, backend):
         expect = make_score_context(
             grid, s.budget, s.params, totals, slot_s=settings.slot_s,
             packet_bits=settings.packet_bits, ds_km=settings.ds_km,
-            omega_max=omega_max_for(s.budget, s.params, beams, settings.slot_s), backend=backend,
+            omega_max=omega_max_for(s.budget, s.params, beams, settings.slot_s),
         )
         got = s.score_context(totals)
         for _ in range(20):
