@@ -24,8 +24,8 @@ Sections:
   search       pattern and rollout-score list of 60 seeded MCTS searches,
                above and below the root candidate count, plain and pruned;
   planner.*    sync-, thread- and process-mode planners fed a fixed request
-               sequence (repeats, new classes, two horizons), drained after
-               each request: every answer's source and plan, and the counters.
+               sequence (repeats and new classes), drained after each
+               request: every answer's source and plan, and the counters.
 
 Takes a few minutes on two cores.
 """
@@ -193,18 +193,15 @@ def planner_requests(out: dict):
     c0 = default_c_max(budget, PARAMS, settings)
     classes = [scaled_demand(grid, 0.5 + 0.25 * k, beams, c0, cfg, seed=3000 + k)
                for k in range(4)]
-    # (class, horizon): repeats, new classes, and a second horizon that
-    # first misses and then replaces the stored plan of its class.
-    sequence = [(0, None), (0, None), (1, None), (0, 3), (0, 3), (2, None), (1, None),
-                (3, 3), (3, 3), (3, None), (0, None), (2, 3), (2, None), (1, 3)]
+    # Demand classes in request order: repeats and new classes.
+    sequence = [0, 0, 1, 0, 0, 2, 1, 3, 3, 3, 0, 2, 2, 1]
     for mode in ("sync", "thread", "process"):
         planner = HybridPlanner(grid, PARAMS, settings, mode=mode, beta=4,
                                 mcts_cfg=MctsConfig(max_iterations=20, rng_seed=0))
         answers = []
         with planner:
-            for i, (k, horizon) in enumerate(sequence):
-                response = planner.handle_request(
-                    PlanRequest(classes[k], horizon_slots=horizon, request_id=i))
+            for i, k in enumerate(sequence):
+                response = planner.handle_request(PlanRequest(classes[k], request_id=i))
                 if not planner.drain(timeout=600):
                     raise RuntimeError(f"{mode} planner did not drain after request {i}")
                 answers.append((response.source, response.bhtp))

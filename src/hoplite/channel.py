@@ -193,6 +193,19 @@ def capacity(
     return params.bandwidth_hz * math.log2(1.0 + s)
 
 
+def checked_cells(pattern, n_cells: int, expected_beams: int | None = None) -> np.ndarray:
+    """The pattern's cell ids, ascending; ValueError on a duplicate or
+    out-of-range id, or on a count other than ``expected_beams`` when given."""
+    served = np.array(sorted(int(c) for c in pattern), dtype=np.intp)
+    if (served[1:] == served[:-1]).any():
+        raise ValueError("pattern has duplicate cells")
+    if served.size and not (0 <= served[0] and served[-1] < n_cells):
+        raise ValueError(f"pattern {tuple(pattern)} has a cell id outside [0, {n_cells})")
+    if expected_beams is not None and served.size != expected_beams:
+        raise ValueError(f"pattern has {served.size} cells, expected {expected_beams}")
+    return served
+
+
 def pattern_capacities(
     pattern, budget: LinkBudget, params: LinkParams, n_cells: int
 ) -> np.ndarray:
@@ -200,10 +213,11 @@ def pattern_capacities(
 
     Unserved cells get zero; this is the ground-truth offered capacity used
     by the queue simulation. Vectorized over the pattern; agrees with
-    per-cell :func:`capacity` calls to floating-point noise.
+    per-cell :func:`capacity` calls to floating-point noise. The pattern is
+    checked as :func:`checked_cells` does.
     """
     caps = np.zeros(n_cells, dtype=float)
-    served = np.array(sorted(int(c) for c in pattern), dtype=np.intp)
+    served = checked_cells(pattern, n_cells)
     caps[served] = served_capacities(served, budget, params)
     return caps
 

@@ -6,11 +6,10 @@ immediately; otherwise the request is answered with a greedy plan computed
 on the spot, and a background search job is queued that computes an MCTS
 plan for the same demand class and stores it for future requests. Jobs for
 the same discretized demand coalesce, and the waiting queue is depth-limited
-(oldest waiting demand dropped first). A job keeps its request's horizon. A
-job that raises or cannot be submitted is logged and counted as failed; the
-request that queued it has its greedy answer all the same. A pool whose
-worker died stays broken: its first failed submit logs a traceback, each
-later one a single line.
+(oldest waiting demand dropped first). A job that raises or cannot be
+submitted is logged and counted as failed; the request that queued it has
+its greedy answer all the same. A pool whose worker died stays broken: its
+first failed submit logs a traceback, each later one a single line.
 
 Both planners plan for one :class:`System`: the cell grid, its link
 parameters and budget, and the planner settings, built once and passed whole.
@@ -30,7 +29,6 @@ from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
-from typing import NamedTuple
 
 import numpy as np
 
@@ -67,7 +65,6 @@ class PlannerSettings:
 @dataclass(frozen=True)
 class PlanRequest:
     demand: np.ndarray  # per-cell packets per slot
-    horizon_slots: int | None = None  # None -> planner default
     request_id: int = 0
 
 
@@ -141,9 +138,8 @@ class System:
         return replay(state, choose, slots, self.budget, self.params, s.slot_s, rng=rng,
                       expected_beams=s.beams)
 
-    def plan(self, arrival_rates, algorithm="greedy", mcts_cfg=None, horizon=None) -> tuple:
-        """Closed-loop plan for one demand vector over ``horizon`` slots
-        (None -> the settings' horizon)."""
+    def plan(self, arrival_rates, algorithm="greedy", mcts_cfg=None) -> tuple:
+        """Closed-loop plan for one demand vector over the settings' horizon."""
         if algorithm not in PLAN_ALGORITHMS:
             raise ValueError(f"unknown planning algorithm {algorithm!r}")
         rates = np.asarray(arrival_rates, dtype=float)
@@ -160,8 +156,7 @@ class System:
                 cfg = replace(base, rng_seed=_slot_seed(base.rng_seed, slot))
                 return compute_pattern_mcts(self.score_context(totals), totals, beams, cfg)
 
-        slots = self.settings.horizon_slots if horizon is None else horizon
-        return self.run(rates, choose, slots).plan
+        return self.run(rates, choose, self.settings.horizon_slots).plan
 
     def simulate(self, bhtp, arrival_rates, rng: np.random.Generator | None = None) -> dict:
         """Replay a fixed plan against the queue model; totals for scoring runs.
@@ -203,20 +198,13 @@ def simulate_bhtp(
     return System(grid, params, settings, budget).simulate(bhtp, arrival_rates, rng)
 
 
-def _background_job(system: System, mcts_cfg: MctsConfig, demand, horizon: int) -> tuple:
+def _background_job(system: System, mcts_cfg: MctsConfig, demand) -> tuple:
     """Runs in a worker (process or thread): the refined plan for one demand."""
-    return system.plan(demand, "mcts", mcts_cfg, horizon)
+    return system.plan(demand, "mcts", mcts_cfg)
 
 
 def _reraise(exc: BaseException):
     raise exc
-
-
-class _Job(NamedTuple):
-    """One background job from enqueue to store."""
-
-    demand: DemandClass  # discretized vector and its cache key
-    horizon: int  # the queuing request's
 
 
 class HybridPlanner:
@@ -256,7 +244,7 @@ class HybridPlanner:
         else:
             self._executor = None
         self._lock = threading.Lock()
-        self._waiting: OrderedDict[bytes, _Job] = OrderedDict()
+        self._waiting: OrderedDict[bytes, DemandClass] = OrderedDict()
         self._inflight: set[bytes] = set()
         self._idle = threading.Event()
         self._idle.set()
@@ -280,13 +268,12 @@ class HybridPlanner:
             raise ValueError(
                 f"demand length {demand.shape} does not match {system.grid.n_cells} cells"
             )
-        settings = system.settings
-        horizon = settings.horizon_slots if req.horizon_slots is None else req.horizon_slots
-        if horizon != settings.horizon_slots:
-            settings = replace(settings, horizon_slots=horizon)  # ValueError below 1
+        if not (np.isfinite(demand).all() and (demand >= 0).all()):
+            raise ValueError("demand entries must be finite and nonnegative")
         demand_class = self.cache.classify(demand)
         stored = self.cache.lookup(demand_class)
-        hit = stored is not None and len(stored) == horizon
+        # A loaded snapshot records no horizon: a plan of another length is a miss.
+        hit = stored is not None and len(stored) == system.settings.horizon_slots
         with self._lock:
             self.requests += 1
             if hit:
@@ -295,14 +282,15 @@ class HybridPlanner:
                 self.online_misses += 1
         if hit:
             return PlanResponse(stored, "cache", time.perf_counter() - t0, req.request_id)
-        self._enqueue(demand_class, horizon)
+        self._enqueue(demand_class)
         # The module-level plan_bhtp, so tracing that wraps it sees the online plan.
-        bhtp = plan_bhtp(demand, system.grid, system.budget, system.params, settings, "greedy")
+        bhtp = plan_bhtp(demand, system.grid, system.budget, system.params, system.settings,
+                         "greedy")
         return PlanResponse(bhtp, "online_greedy", time.perf_counter() - t0, req.request_id)
 
     # -- background fill: claim under the lock, start and finish outside it --
 
-    def _enqueue(self, demand: DemandClass, horizon: int):
+    def _enqueue(self, demand: DemandClass):
         with self._lock:
             if self._closed:
                 self.dropped_jobs += 1
@@ -311,14 +299,14 @@ class HybridPlanner:
                 self.coalesced += 1
                 return
             self._idle.clear()
-            self._waiting[demand.key] = _Job(demand, horizon)
+            self._waiting[demand.key] = demand
             while len(self._waiting) > self.max_pending:
                 self._waiting.popitem(last=False)
                 self.dropped_jobs += 1
             job = self._claim_locked()
         self._start(job)
 
-    def _claim_locked(self) -> _Job | None:
+    def _claim_locked(self) -> DemandClass | None:
         """The oldest waiting job if a worker is free; sets idle if none is left.
 
         Nothing waits after close(), so nothing is claimed after it.
@@ -331,10 +319,10 @@ class HybridPlanner:
             self._idle.set()
         return None
 
-    def _start(self, job: _Job | None):
+    def _start(self, job: DemandClass | None):
         """Run claimed jobs inline in sync mode, or submit them to the pool."""
         while job is not None:
-            args = (self.system, self.mcts_cfg, job.demand.vector, job.horizon)
+            args = (self.system, self.mcts_cfg, job.vector)
             if self._executor is None:
                 job = self._finish(job, lambda: _background_job(*args))
                 continue
@@ -353,7 +341,7 @@ class HybridPlanner:
             future.add_done_callback(lambda fut, j=job: self._start(self._finish(j, fut.result)))
             return
 
-    def _finish(self, job: _Job, result, log_traceback: bool = True) -> _Job | None:
+    def _finish(self, job: DemandClass, result, log_traceback: bool = True) -> DemandClass | None:
         """Store the plan ``result()`` returns, or log and count its failure;
         then release the job's key and claim the next job. ``result`` is None
         for a job that close() shut the pool on before it ran: it is dropped.
@@ -371,11 +359,11 @@ class HybridPlanner:
                     logger.error("background plan job failed: %r", exc)
                 counter = "jobs_failed"
             else:
-                self.cache.store(job.demand, bhtp)
+                self.cache.store(job, bhtp)
                 counter = "jobs_completed"
         with self._lock:
             setattr(self, counter, getattr(self, counter) + 1)
-            self._inflight.remove(job.demand.key)
+            self._inflight.remove(job.key)
             return self._claim_locked()
 
     # -- lifecycle -----------------------------------------------------------

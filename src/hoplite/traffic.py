@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import LinkBudget, LinkParams, served_capacities
+from .channel import LinkBudget, LinkParams, checked_cells, served_capacities
 
 DEFAULT_PACKET_BITS = 1500 * 8.0
 DEFAULT_TTL_SLOTS = 20
@@ -100,19 +100,6 @@ def throughput_for_cell(
     if min(capacity_bps, queue_packets, slot_s, packet_bits) < 0:
         raise ValueError("throughput inputs must be nonnegative")
     return min(capacity_bps * slot_s, queue_packets * packet_bits)
-
-
-def checked_cells(pattern, n_cells: int, expected_beams: int | None = None) -> np.ndarray:
-    """The pattern's cell ids, ascending; ValueError on a duplicate or
-    out-of-range id, or on a count other than ``expected_beams`` when given."""
-    served = np.array(sorted(int(c) for c in pattern), dtype=np.intp)
-    if (served[1:] == served[:-1]).any():
-        raise ValueError("pattern has duplicate cells")
-    if served.size and not (0 <= served[0] and served[-1] < n_cells):
-        raise ValueError(f"pattern {tuple(pattern)} has a cell id outside [0, {n_cells})")
-    if expected_beams is not None and served.size != expected_beams:
-        raise ValueError(f"pattern has {served.size} cells, expected {expected_beams}")
-    return served
 
 
 def advance_slot(

@@ -242,6 +242,13 @@ def test_pattern_capacities_empty_pattern(budget37, params):
     assert np.all(pattern_capacities((), budget37, params, 37) == 0.0)
 
 
+@pytest.mark.parametrize("pattern", [(0, 0, 1), (-1, 0, 1), (37, 0)],
+                         ids=["duplicate", "negative", "past_the_grid"])
+def test_pattern_capacities_rejects_bad_patterns(budget37, params, pattern):
+    with pytest.raises(ValueError):
+        pattern_capacities(pattern, budget37, params, 37)
+
+
 def test_boresight_snr_value(grid37, budget37, params):
     snr = boresight_snr(budget37, params)
     g0 = oracle_gain2(0.0, params)

@@ -168,26 +168,31 @@ def test_demand_length_checked(system):
 
 
 def test_horizon_mismatch_is_a_miss(system):
-    grid, budget, params = system
+    grid = system[0]
     planner = sync_planner(system, horizon=6)
     demand = np.full(grid.n_cells, 800.0)
-    planner.handle_request(PlanRequest(demand))  # fills cache at horizon 6
-    short = planner.handle_request(PlanRequest(demand, horizon_slots=3))
-    assert short.source == "online_greedy"
-    assert len(short.bhtp) == 3
-    repeat = planner.handle_request(PlanRequest(demand, horizon_slots=3))
+    # A plan of another length, as a snapshot from another planner would hold.
+    planner.cache.store(demand, [tuple(range(9))] * 3)
+    first = planner.handle_request(PlanRequest(demand))
+    assert first.source == "online_greedy"
+    assert len(first.bhtp) == 6
+    assert len(planner.cache.lookup(demand)) == 6  # the job replaced the short plan
+    repeat = planner.handle_request(PlanRequest(demand))
     assert repeat.source == "cache"
-    assert len(repeat.bhtp) == 3
+    assert len(repeat.bhtp) == 6
 
 
-@pytest.mark.parametrize("horizon", [0, -1])
-def test_horizon_below_one_rejected(system, horizon):
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+def test_bad_demand_rejected_before_any_side_effect(system, bad):
     grid = system[0]
-    planner = sync_planner(system, horizon=5)
+    planner = sync_planner(system)
+    demand = np.full(grid.n_cells, 800.0)
+    planner.handle_request(PlanRequest(demand))
+    before = planner.stats(), planner.cache.stats()
+    demand[4] = bad
     with pytest.raises(ValueError):
-        planner.handle_request(PlanRequest(np.full(grid.n_cells, 800.0), horizon_slots=horizon))
-    stats = planner.stats()
-    assert stats["requests"] == stats["online_misses"] == stats["jobs_completed"] == 0
+        planner.handle_request(PlanRequest(demand))
+    assert (planner.stats(), planner.cache.stats()) == before
 
 
 def test_invalid_mode_rejected(system):
@@ -216,11 +221,12 @@ class GatedJob:
         self.release = threading.Event()
         self.calls = 0
 
-    def __call__(self, system, mcts_cfg, demand, horizon):
+    def __call__(self, system, mcts_cfg, demand):
         self.calls += 1
         self.started.set()
         assert self.release.wait(20), "test never released the gated job"
-        return tuple(tuple(range(system.settings.beams)) for _ in range(horizon))
+        s = system.settings
+        return tuple(tuple(range(s.beams)) for _ in range(s.horizon_slots))
 
 
 def thread_planner(system, max_pending=8):
@@ -294,23 +300,6 @@ def test_miss_discretizes_demand_once(system, monkeypatch):
         assert on_request == 1  # shared by the lookup, the job and its key
         assert planner.drain(timeout=10)
         assert len(calls) == 1  # the finished job stores the request's class
-
-
-def test_waiting_job_keeps_its_horizon(system, monkeypatch):
-    gate = GatedJob()
-    monkeypatch.setattr(orch, "_background_job", gate)
-    grid = system[0]
-    with thread_planner(system) as planner:  # default horizon 4
-        step = planner.cache.c_max / planner.cache.beta
-        planner.handle_request(PlanRequest(np.full(grid.n_cells, step)))
-        assert gate.started.wait(5)
-        short = np.full(grid.n_cells, 2 * step)
-        planner.handle_request(PlanRequest(short, horizon_slots=2))
-        assert planner.stats()["waiting"] == 1  # queued behind the gated job
-        gate.release.set()
-        assert planner.drain(timeout=10)
-        assert len(planner.cache.lookup(short)) == 2
-        assert planner.handle_request(PlanRequest(short, horizon_slots=2)).source == "cache"
 
 
 def test_online_path_not_blocked_by_inflight_job(system, monkeypatch):
