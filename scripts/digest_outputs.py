@@ -25,7 +25,13 @@ Sections:
                above and below the root candidate count, plain and pruned;
   planner.*    sync-, thread- and process-mode planners fed a fixed request
                sequence (repeats and new classes), drained after each
-               request: every answer's source and plan, and the counters.
+               request: every answer's source and plan, and the counters;
+  classes.*    the plan-cache key (`key_for`, hex) and a digest of the
+               `discretize` bytes of 20 fixed demand vectors on two grids
+               (beta 4 at the 37-cell c_max, and beta 3 on c_max 10, whose
+               grid points have no exact float32 form): seeded random
+               vectors, exact half-step ties, the floats just below and
+               above them, values above c_max, c_max itself and zeros.
 
 Takes a few minutes on two cores.
 """
@@ -40,6 +46,7 @@ from pathlib import Path
 
 import numpy as np
 
+from hoplite.cache import BhtpCache
 from hoplite.channel import LinkParams, build_link_budget
 from hoplite.geometry import generate_grid
 from hoplite.harness import ExperimentConfig, run_all, scaled_demand, strip_timing_columns
@@ -211,10 +218,28 @@ def planner_requests(out: dict):
         out[f"planner.{mode}.stats"] = json.dumps(planner.stats(), sort_keys=True)
 
 
+def classes(out: dict):
+    grid, budget, beams, cfg = system(3)
+    n = grid.n_cells
+    c0 = default_c_max(budget, PARAMS, PlannerSettings(beams=beams))
+    for c_max, beta, key_bytes in ((c0, 4, 4), (10.0, 3, 8)):
+        step = c_max / beta
+        rng = np.random.default_rng(4000 + beta)
+        ties = (np.arange(n) % (beta + 1) + 0.5) * step
+        vectors = [rng.uniform(0.0, 1.2 * c_max, n) for _ in range(13)] + [
+            ties, np.nextafter(ties, 0.0), np.nextafter(ties, np.inf), ties + c_max,
+            np.full(n, c_max), np.full(n, 1e300), np.zeros(n)]
+        cache = BhtpCache(c_max=c_max, beta=beta, key_bytes=key_bytes)
+        out[f"classes.beta{beta}.keys"] = " ".join(cache.key_for(v).hex() for v in vectors)
+        wire = b"".join(cache.discretize(v).tobytes() for v in vectors)
+        out[f"classes.beta{beta}.discretized"] = (
+            f"{len(vectors)} vectors {hashlib.sha256(wire).hexdigest()[:16]}")
+
+
 def main() -> int:
     out = {}
     mismatched = scorers_and_plans(out)
-    for section in (sweeps, searches, planner_requests):
+    for section in (sweeps, searches, planner_requests, classes):
         section(out)
     text = json.dumps(out, indent=1, sort_keys=True) + "\n"
     if len(sys.argv) > 1:

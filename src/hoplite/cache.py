@@ -3,37 +3,48 @@
 Demand vectors are snapped to the nearest point of an evenly spaced grid
 (resolution C_max/beta per component), hashed, and the transmission plan
 for that demand class is stored under the first bytes of the digest.
-Truncated keys can collide, so every hit re-checks the stored vector before
-returning a plan; a mismatch counts as a miss. Eviction is
-least-recently-used. Entries can be saved to and reloaded from a compact
-binary snapshot.
+``BhtpCache.classify`` does this in one pass over the vector: each entry is
+checked (finite, nonnegative), snapped and packed into the float32 wire,
+and the wire is hashed once. Truncated keys can collide, so every hit
+compares the stored wire bytes with the probe's before returning a plan; a
+mismatch counts as a miss. Eviction is least-recently-used. Entries can be
+saved to and reloaded from a compact binary snapshot.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
+import os
 import struct
 import threading
 from collections import OrderedDict
+from typing import NamedTuple
 
 import numpy as np
 
 MAGIC = b"BHC1"
 
 
+def _snap(x: float, c_max: float, beta: int, step: float) -> float:
+    """The grid point for one component: clamped to [0, c_max], ties upward."""
+    # Conditional expressions take a third of the time of min() and max().
+    k = math.floor((0.0 if x < 0.0 else c_max if x > c_max else x) / step + 0.5)
+    return (k if k < beta else beta) * step
+
+
 def discretize(vector, c_max: float, beta: int) -> np.ndarray:
     """Snap each component to the nearest point of {k * c_max/beta : k = 0..beta}.
 
-    Values are clamped to [0, c_max] first; ties round upward.
+    Values are clamped to [0, c_max] first; ties round upward; NaN raises ValueError.
     """
     if int(beta) != beta or beta < 1:
         raise ValueError("beta must be a positive integer")
     if c_max <= 0:
         raise ValueError("c_max must be positive")
-    step = c_max / beta
-    v = np.clip(np.asarray(vector, dtype=float), 0.0, c_max)
-    k = np.floor(v / step + 0.5)
-    return np.minimum(k, beta) * step
+    v, step = np.asarray(vector, dtype=float), c_max / beta
+    snapped = [_snap(x, c_max, beta, step) for x in v.ravel().tolist()]
+    return np.array(snapped, dtype=float).reshape(v.shape)
 
 
 def demand_key(discretized, key_bytes: int = 4) -> bytes:
@@ -55,29 +66,27 @@ def entry_size_bytes(n_cells, beams, horizon) -> int:
     return int(4 + 4 * horizon * beams + 4 * n_cells + 8)
 
 
-class DemandClass:
-    """A demand vector's discretized form and its key, computed once."""
+class DemandClass(NamedTuple):
+    """A demand vector's discretized values, float32 wire and key, computed once."""
 
-    __slots__ = ("vector", "key")
-
-    def __init__(self, vector: np.ndarray, key: bytes):
-        self.vector = vector
-        self.key = key
+    values: list  # the floats discretize() gives
+    wire: bytes
+    key: bytes
 
 
 class _Entry:
-    __slots__ = ("key", "vector", "bhtp")
+    __slots__ = ("key", "wire", "bhtp")
 
-    def __init__(self, key: bytes, vector: np.ndarray, bhtp: np.ndarray):
+    def __init__(self, key: bytes, wire: bytes, bhtp: np.ndarray):
         self.key = key
-        self.vector = vector
+        self.wire = wire
         self.bhtp = bhtp
 
 
 def _as_plan_array(bhtp) -> np.ndarray:
     plan = np.asarray(bhtp, dtype=np.int32)
-    if plan.ndim != 2:
-        raise ValueError("a plan must be a (slots x beams) table of cell ids")
+    if plan.ndim != 2 or 0 in plan.shape:
+        raise ValueError("a plan must be a nonempty (slots x beams) table of cell ids")
     return plan
 
 
@@ -102,6 +111,7 @@ class BhtpCache:
         self.max_entries = int(max_entries)
         self.key_bytes = int(key_bytes)
         discretize(np.zeros(1), self.c_max, self.beta)  # validate args
+        demand_key(np.zeros(1), self.key_bytes)
         self._entries: OrderedDict[bytes, _Entry] = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
@@ -119,26 +129,31 @@ class BhtpCache:
         return self.classify(vector).key
 
     def classify(self, vector) -> DemandClass:
-        """The discretized vector and its key (the key that key_for() gives)."""
-        disc = self.discretize(vector)
-        return DemandClass(disc, demand_key(disc, self.key_bytes))
+        """The demand's class in one pass; ValueError for a NaN, infinite or negative entry."""
+        c_max, beta, step = self.c_max, self.beta, self.c_max / self.beta
+        values = []
+        for x in np.asarray(vector, dtype=float).tolist():
+            if not 0.0 <= x < math.inf:
+                raise ValueError("demand entries must be finite and nonnegative")
+            values.append(_snap(x, c_max, beta, step))
+        wire = struct.pack(f"<{len(values)}f", *values)
+        return DemandClass(values, wire, hashlib.sha256(wire).digest()[: self.key_bytes])
 
     def lookup(self, vector) -> tuple | None:
         """Stored plan for this demand class, or None.
 
         ``vector`` is a demand vector or the DemandClass that classify()
-        returned for it. A key hit whose stored vector differs from the
-        probe's discretized vector is a collision: counted and treated as a
-        miss.
+        returned for it. A key hit whose stored wire bytes differ from the
+        probe's is a collision: counted and treated as a miss.
         """
         demand = vector if isinstance(vector, DemandClass) else self.classify(vector)
-        disc, key = demand.vector.astype("<f4"), demand.key
+        key = demand.key
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
                 self.misses += 1
                 return None
-            if not np.array_equal(entry.vector, disc):
+            if entry.wire != demand.wire:
                 self.collisions += 1
                 self.misses += 1
                 return None
@@ -156,7 +171,7 @@ class BhtpCache:
         key = demand.key
         plan = _as_plan_array(bhtp)
         with self._lock:
-            self._entries[key] = _Entry(key, demand.vector.astype("<f4"), plan)
+            self._entries[key] = _Entry(key, demand.wire, plan)
             self._entries.move_to_end(key)
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
@@ -186,8 +201,8 @@ class BhtpCache:
                 slots, beams = entry.bhtp.shape
                 payload = (
                     entry.key
-                    + struct.pack("<III", len(entry.vector), beams, slots)
-                    + entry.vector.astype("<f4").tobytes()
+                    + struct.pack("<III", len(entry.wire) // 4, beams, slots)
+                    + entry.wire
                     + entry.bhtp.astype("<i4").tobytes()
                 )
                 fh.write(struct.pack("<I", len(payload)))
@@ -196,17 +211,18 @@ class BhtpCache:
     def load(self, path):
         """Replace current contents with a snapshot written by save().
 
-        A snapshot that is cut short or whose record sizes disagree raises
-        ValueError and leaves the current contents as they were.
+        A snapshot that is cut short, whose record sizes disagree or that
+        holds a plan with no rows or no beams raises ValueError and leaves
+        the current contents as they were.
         """
 
         def read(fh, size: int) -> bytes:
-            data = fh.read(size)
-            if len(data) != size:
+            if size > end - fh.tell():  # a corrupt size must not allocate it
                 raise ValueError(f"{path}: truncated snapshot")
-            return data
+            return fh.read(size)
 
         with open(path, "rb") as fh:
+            end = os.fstat(fh.fileno()).st_size
             if fh.read(4) != MAGIC:
                 raise ValueError(f"{path}: not a plan-cache snapshot")
             version, key_bytes, count = struct.unpack("<III", read(fh, 12))
@@ -226,12 +242,12 @@ class BhtpCache:
                 n, beams, slots = struct.unpack_from("<III", payload, key_bytes)
                 if length != key_bytes + 12 + 4 * n + 4 * slots * beams:
                     raise ValueError(f"{path}: record sizes do not match its length")
-                off = key_bytes + 12
-                vector = np.frombuffer(payload, dtype="<f4", count=n, offset=off)
-                off += 4 * n
+                if slots == 0 or beams == 0:
+                    raise ValueError(f"{path}: record holds an empty plan")
+                off = key_bytes + 12 + 4 * n
                 plan = np.frombuffer(
                     payload, dtype="<i4", count=slots * beams, offset=off
                 ).reshape(slots, beams)
-                entries[key] = _Entry(key, vector.copy(), plan.copy())
+                entries[key] = _Entry(key, payload[key_bytes + 12:off], plan.copy())
         with self._lock:
             self._entries = entries

@@ -1,7 +1,8 @@
 """Hybrid planner: answer now with greedy, refine in the background.
 
 A request carries a per-cell demand vector. If the plan cache already holds
-a transmission plan for that demand class the stored plan is returned
+a transmission plan for that demand class, of the settings' horizon and beam
+count (a loaded snapshot records neither), the stored plan is returned
 immediately; otherwise the request is answered with a greedy plan computed
 on the spot, and a background search job is queued that computes an MCTS
 plan for the same demand class and stores it for future requests. Jobs for
@@ -268,12 +269,10 @@ class HybridPlanner:
             raise ValueError(
                 f"demand length {demand.shape} does not match {system.grid.n_cells} cells"
             )
-        if not (np.isfinite(demand).all() and (demand >= 0).all()):
-            raise ValueError("demand entries must be finite and nonnegative")
-        demand_class = self.cache.classify(demand)
+        demand_class = self.cache.classify(demand)  # rejects NaN, inf and negatives
         stored = self.cache.lookup(demand_class)
-        # A loaded snapshot records no horizon: a plan of another length is a miss.
-        hit = stored is not None and len(stored) == system.settings.horizon_slots
+        s = system.settings
+        hit = stored is not None and (len(stored), len(stored[0])) == (s.horizon_slots, s.beams)
         with self._lock:
             self.requests += 1
             if hit:
@@ -322,7 +321,7 @@ class HybridPlanner:
     def _start(self, job: DemandClass | None):
         """Run claimed jobs inline in sync mode, or submit them to the pool."""
         while job is not None:
-            args = (self.system, self.mcts_cfg, job.vector)
+            args = (self.system, self.mcts_cfg, job.values)
             if self._executor is None:
                 job = self._finish(job, lambda: _background_job(*args))
                 continue

@@ -1,11 +1,23 @@
 """Demand discretization, key hashing, verification, LRU and persistence."""
 
 import hashlib
+import math
+import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from hoplite.cache import BhtpCache, demand_key, discretize, entry_size_bytes
+from hoplite.cache import (
+    MAGIC,
+    BhtpCache,
+    DemandClass,
+    demand_key,
+    discretize,
+    entry_size_bytes,
+)
 
 
 def plan_for(tag: int, slots: int = 3, beams: int = 2):
@@ -50,6 +62,8 @@ def test_discretize_validation():
         discretize([1.0], 100.0, 2.5)
     with pytest.raises(ValueError):
         discretize([1.0], 0.0, 4)
+    with pytest.raises(ValueError):
+        discretize([1.0, np.nan], 100.0, 4)
 
 
 # -- keys --------------------------------------------------------------------
@@ -73,6 +87,68 @@ def test_key_bytes_range():
         demand_key(np.zeros(2), key_bytes=0)
     with pytest.raises(ValueError):
         demand_key(np.zeros(2), key_bytes=33)
+
+
+# -- one-pass classification ------------------------------------------------------
+
+def vectorized_discretize(vector, c_max, beta):
+    """The snapping rule as whole-array numpy operations, for reference."""
+    step = c_max / beta
+    k = np.floor(np.clip(np.asarray(vector, dtype=float), 0.0, c_max) / step + 0.5)
+    return np.minimum(k, beta) * step
+
+
+GRIDS = [(100.0, 4), (10.0, 3), (1234.567, 7), (5e-324 * 2**40, 2)]
+
+
+@st.composite
+def demand_on_grid(draw):
+    """A grid and a vector with ties, their neighbours, edges and extremes."""
+    c_max, beta = draw(st.sampled_from(GRIDS))
+    step = c_max / beta
+    tie = st.integers(0, beta + 2).map(lambda k: (k + 0.5) * step)
+    special = st.sampled_from([0.0, -0.0, 5e-324, 2.2e-308, c_max, 1e300, step / 2])
+    entry = st.one_of(
+        tie,
+        tie.map(lambda t: math.nextafter(t, 0.0)),
+        tie.map(lambda t: math.nextafter(t, math.inf)),
+        special,
+        st.floats(0.0, 2 * c_max),
+        st.floats(0.0, 1e300),
+    )
+    return c_max, beta, draw(st.lists(entry, max_size=40))
+
+
+@settings(deadline=None, max_examples=300)
+@given(demand_on_grid(), st.sampled_from([1, 4, 32]))
+@example((100.0, 4, [12.5, 37.5, 62.5, 87.5, 100.0, 150.0, 0.0, -0.0, 5e-324, 1e300]), 4)
+def test_classify_matches_discretize_and_demand_key(case, key_bytes):
+    c_max, beta, vector = case
+    cache = BhtpCache(c_max=c_max, beta=beta, key_bytes=key_bytes)
+    got = cache.classify(np.array(vector, dtype=float))
+    disc = discretize(vector, c_max, beta)
+    assert disc.tobytes() == vectorized_discretize(vector, c_max, beta).tobytes()
+    assert np.array(got.values, dtype=float).tobytes() == disc.tobytes()
+    assert got.wire == disc.astype("<f4").tobytes()
+    assert got.key == demand_key(disc, key_bytes) == cache.key_for(vector)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+@pytest.mark.parametrize("position", [0, 2, 4])
+def test_bad_demand_raises_before_any_count(bad, position):
+    cache = BhtpCache(c_max=100.0, beta=4)
+    good = np.array([10.0, 60.0, 90.0, 0.0, 30.0])
+    cache.store(good, plan_for(1))
+    cache.lookup(good)
+    before = cache.stats()
+    vector = good.copy()
+    vector[position] = bad
+    for call in (cache.classify, cache.key_for, cache.lookup,
+                 lambda v: cache.store(v, plan_for(2))):
+        with pytest.raises(ValueError):
+            call(vector)
+    assert cache.stats() == before
+    assert cache.lookup(good) == plan_for(1)
 
 
 # -- entry size accounting ------------------------------------------------------
@@ -164,6 +240,10 @@ def test_store_rejects_flat_plans():
     cache = BhtpCache(c_max=100.0, beta=4)
     with pytest.raises(ValueError):
         cache.store(np.array([1.0]), [1, 2, 3])
+    for empty in ([()], [], np.zeros((0, 5), dtype=int)):
+        with pytest.raises(ValueError):
+            cache.store(np.array([1.0]), empty)
+    assert len(cache) == 0
 
 
 def test_constructor_validation():
@@ -241,6 +321,67 @@ def test_load_rejects_every_strict_prefix(tmp_path):
         assert len(fresh) == 1  # a failed load keeps the old contents
     fresh.load(full)
     assert fresh.lookup(np.array([50.0, 50.0])) == plan_for(2)
+
+
+def test_load_rejects_empty_plans(tmp_path):
+    cache = BhtpCache(c_max=100.0, beta=4)
+    cache.store(np.array([25.0]), plan_for(1))
+    wire = np.array([25.0], dtype="<f4").tobytes()
+    path = tmp_path / "empty.bin"
+    for beams, slots in ((0, 7), (3, 0), (0, 2**32 - 1)):
+        # One record: a key, one demand entry and no plan cells.
+        record = b"abcd" + struct.pack("<III", 1, beams, slots) + wire
+        path.write_bytes(MAGIC + struct.pack("<IIII", 1, 4, 1, len(record)) + record)
+        with pytest.raises(ValueError):
+            cache.load(path)
+        assert cache.lookup(np.array([25.0])) == plan_for(1)
+
+
+def _valid_snapshot() -> bytes:
+    cache = BhtpCache(c_max=100.0, beta=4)
+    for i in range(3):
+        cache.store(np.array([i * 25.0, 50.0, 75.0]), plan_for(i, slots=2 + i, beams=1 + i))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "valid.bin"
+        cache.save(path)
+        return path.read_bytes()
+
+
+VALID_SNAPSHOT = _valid_snapshot()
+
+
+@st.composite
+def damaged_snapshot(draw):
+    """The valid snapshot truncated, with bytes flipped, or spliced with itself."""
+    data = bytearray(VALID_SNAPSHOT)
+    size = len(data)
+    kind = draw(st.sampled_from(["truncate", "flip", "splice"]))
+    if kind == "truncate":
+        return bytes(data[: draw(st.integers(0, size - 1))])
+    if kind == "flip":
+        for _ in range(draw(st.integers(1, 4))):
+            data[draw(st.integers(0, size - 1))] ^= draw(st.integers(1, 255))
+        return bytes(data)
+    a, b, at = (draw(st.integers(0, size)) for _ in range(3))
+    return bytes(data[:at] + data[min(a, b):max(a, b)] + data[at:])
+
+
+@settings(deadline=None, max_examples=300)
+@given(damaged_snapshot())
+def test_load_damaged_snapshot_keeps_contents_or_loads_plans(data):
+    cache = BhtpCache(c_max=100.0, beta=4)
+    cache.store(np.array([75.0, 75.0]), plan_for(9))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "damaged.bin"
+        path.write_bytes(data)
+        try:
+            cache.load(path)
+        except ValueError:
+            assert len(cache) == 1 and cache.lookup(np.array([75.0, 75.0])) == plan_for(9)
+            return
+    for entry in list(cache._entries.values()):
+        plan = cache.lookup(DemandClass([], entry.wire, entry.key))
+        assert len(plan) >= 1 and all(len(row) >= 1 for row in plan)
 
 
 def test_lookup_returns_python_int_tuples():

@@ -182,6 +182,20 @@ def test_horizon_mismatch_is_a_miss(system):
     assert len(repeat.bhtp) == 6
 
 
+def test_beam_count_mismatch_is_a_miss(system):
+    grid = system[0]
+    planner = sync_planner(system, horizon=6)
+    demand = np.full(grid.n_cells, 800.0)
+    # A plan of the right length for a 5-beam planner, as a snapshot could hold.
+    planner.cache.store(demand, [tuple(range(5))] * 6)
+    first = planner.handle_request(PlanRequest(demand))
+    assert first.source == "online_greedy"
+    assert [len(row) for row in planner.cache.lookup(demand)] == [9] * 6  # the job's plan
+    repeat = planner.handle_request(PlanRequest(demand))
+    assert repeat.source == "cache"
+    assert [len(row) for row in repeat.bhtp] == [9] * 6
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
 def test_bad_demand_rejected_before_any_side_effect(system, bad):
     grid = system[0]
@@ -289,15 +303,15 @@ def test_miss_discretizes_demand_once(system, monkeypatch):
     grid = system[0]
     with thread_planner(system) as planner:
         calls = []
-        discretize = planner.cache.discretize
-        planner.cache.discretize = lambda v: calls.append(1) or discretize(v)
+        classify = planner.cache.classify
+        planner.cache.classify = lambda v: calls.append(1) or classify(v)
         try:
             response = planner.handle_request(PlanRequest(np.full(grid.n_cells, 1200.0)))
             on_request = len(calls)  # before the job's store adds its own
         finally:
             gate.release.set()
         assert response.source == "online_greedy"
-        assert on_request == 1  # shared by the lookup, the job and its key
+        assert on_request == 1  # one pass, shared by the lookup, the job and its key
         assert planner.drain(timeout=10)
         assert len(calls) == 1  # the finished job stores the request's class
 
